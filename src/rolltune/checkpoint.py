@@ -15,10 +15,12 @@ Every value is float64, so a section's payload is exactly
 8 * product(shape) bytes. Reading is bitwise faithful, and rewriting
 what was read reproduces the original file byte for byte; with sorted
 sections and canonical JSON the bytes do not depend on dict insertion
-order either.
+order either. write_atomic, which every artifact the CLI writes goes
+through, replaces a file only once its new bytes are complete.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -96,9 +98,22 @@ def parse_checkpoint(data: bytes):
     return arrays, metadata
 
 
+def write_atomic(path, data: bytes):
+    """Write data to path through a temporary sibling and os.replace, so
+    path holds either its old contents or all of data, never a part."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_checkpoint(path, arrays: dict, metadata: dict | None = None):
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(arrays, metadata))
+    write_atomic(path, checkpoint_bytes(arrays, metadata))
 
 
 def read_checkpoint(path):

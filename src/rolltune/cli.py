@@ -7,7 +7,9 @@ their full RunConfig, so a generate or tune run inherits the note range
 and grid the model was trained with unless explicitly overridden.
 
 Exit status is 0 only when every requested artifact was fully written;
-any error prints a message to stderr and exits nonzero.
+any error prints a message to stderr and exits nonzero. Artifacts are
+written through checkpoint.write_atomic, so a failed run never leaves a
+partly written file in place of an old one.
 """
 
 import argparse
@@ -35,7 +37,7 @@ def _csv_cell(value):
 def write_csv(path, header, rows):
     lines = [header]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    checkpoint.write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def resolve_config(args, base_mapping=None, **flag_overrides):
@@ -119,7 +121,7 @@ def cmd_generate(args):
     rng = np.random.default_rng(cfg.seed)
     matrix = model.generate(params, cfg, cfg.gen_steps, rng)
     data = midiio.serialize_midi(midiio.to_midi(matrix, cfg.tempo_bpm))
-    Path(args.out).write_bytes(data)
+    checkpoint.write_atomic(args.out, data)
     print(f"wrote {matrix.n_steps} steps to {args.out}")
     return 0
 
@@ -169,11 +171,11 @@ def cmd_eval(args):
         raise ValueError(f"checkpoint {args.ckpt} holds unknown model "
                          f"kind {kind!r}")
     report = metrics.evaluate(melodies, TheoryConfig.from_run_config(cfg))
-    Path(args.out).write_text(metrics.report_to_csv(report),
-                              encoding="ascii")
+    checkpoint.write_atomic(args.out,
+                            metrics.report_to_csv(report).encode("ascii"))
     table = metrics.report_table(report)
     table_path = args.table or f"{args.out}.txt"
-    Path(table_path).write_text(table + "\n", encoding="ascii")
+    checkpoint.write_atomic(table_path, (table + "\n").encode("ascii"))
     print(table)
     print(f"wrote {args.out} and {table_path}")
     return 0

@@ -7,8 +7,9 @@ Config files are JSON objects whose keys match the field names below.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
+
+from .theory import TheoryConfig
 
 
 @dataclass
@@ -97,8 +98,6 @@ class RunConfig:
             raise ValueError("eta must lie in (0, 1]")
         if self.c_weight == 0.0:
             raise ValueError("c_weight cannot be zero")
-        if self.episode_len < 1:
-            raise ValueError("episode_len must be positive")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon schedule must satisfy "
                              "0 <= end <= start <= 1")
@@ -108,20 +107,15 @@ class RunConfig:
             raise ValueError("temperature must be positive")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be positive")
-        if not 0 <= self.key_root < 12:
-            raise ValueError("key_root must be a pitch class 0..11")
-        if self.key_mode not in ("major", "minor"):
-            raise ValueError(f"unknown key_mode {self.key_mode!r}")
-        if self.autocorr_threshold < 0:
-            raise ValueError("autocorr_threshold cannot be negative")
-        if self.max_repeats < 1:
-            raise ValueError("max_repeats must be at least 1")
         if self.tempo_bpm <= 0:
             raise ValueError("tempo must be positive")
         if self.eval_songs < 1 or self.gen_steps < 1:
             raise ValueError("gen_steps and eval_songs must be positive")
         if self.sampling not in ("greedy", "boltzmann"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
+        # The theory rules check their own fields: key, mode, episode
+        # length, thresholds and a finite reward table.
+        TheoryConfig.from_run_config(self)
         return self
 
     def to_dict(self):
@@ -146,11 +140,3 @@ class RunConfig:
         for name in ("timewise_hidden", "notewise_hidden"):
             setattr(cfg, name, [int(h) for h in getattr(cfg, name)])
         return cfg.validate()
-
-    @classmethod
-    def from_file(cls, path, overrides=None):
-        with open(path, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        return cls.from_sources(mapping, overrides)

@@ -154,17 +154,6 @@ def evaluate(melodies, config: TheoryConfig) -> MetricReport:
     return report
 
 
-def normalized_loglik(raw: float, n_notes_model: int,
-                      n_notes_reference: int = 78) -> float:
-    """Rescale a per-step log-likelihood to a common note count so
-    models over different pitch ranges are comparable."""
-    if n_notes_reference <= 0:
-        raise ValueError("reference note count must be positive")
-    if n_notes_model <= 0:
-        raise ValueError("model note count must be positive")
-    return raw * n_notes_model / n_notes_reference
-
-
 def report_to_csv(report: MetricReport) -> str:
     """One metric per row; floats via repr so parsing is lossless."""
     lines = ["metric,value"]

@@ -67,36 +67,6 @@ def action_pitch(action: int):
     return MELODY_PITCH_BASE + action
 
 
-def pitch_action(pitch: int) -> int:
-    if not MELODY_LOW <= pitch <= MELODY_HIGH:
-        raise ValueError(f"pitch {pitch} outside melody range "
-                         f"{MELODY_LOW}..{MELODY_HIGH}")
-    return pitch - MELODY_PITCH_BASE
-
-
-@dataclass
-class MelodySequence:
-    """A monophonic melody as a list of actions on a sixteenth-note grid."""
-
-    actions: list
-
-    def __post_init__(self):
-        self.actions = [int(a) for a in self.actions]
-        for i, a in enumerate(self.actions):
-            if not 0 <= a < MELODY_ACTIONS:
-                raise ValueError(f"action {a} at step {i} outside "
-                                 f"[0, {MELODY_ACTIONS})")
-
-    def __len__(self):
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __getitem__(self, idx):
-        return self.actions[idx]
-
-
 @dataclass
 class NoteStateMatrix:
     """Binary piano roll of shape (notes, steps, 2).
@@ -451,58 +421,3 @@ def to_midi(matrix: NoteStateMatrix,
     end_tick = max(tick_of(matrix.n_steps), cursor)
     track.append(MidiEvent(end_tick - cursor, END_OF_TRACK))
     return MidiSong(ticks_per_quarter=DEFAULT_DIVISION, tracks=[track])
-
-
-def extract_melody(matrix: NoteStateMatrix) -> MelodySequence:
-    """Project the top voice onto the 38-action melody encoding.
-
-    Per step: the highest sounding pitch inside the melody range emits
-    its action when articulated there, a hold otherwise; the step where
-    all in-range notes fall silent after sound emits note-off; silence
-    otherwise holds. Pitches outside C3..B5 are ignored entirely.
-    """
-    matrix.validate()
-    lo_row = MELODY_LOW - matrix.note_low
-    hi_row = MELODY_HIGH - matrix.note_low
-    rows = range(max(lo_row, 0), min(hi_row, matrix.n_notes - 1) + 1)
-    actions = []
-    had_sound = False
-    for t in range(matrix.n_steps):
-        top = None
-        for row in rows:
-            if matrix.data[row, t, 0]:
-                top = row
-        if top is None:
-            actions.append(MELODY_NOTE_OFF if had_sound else MELODY_NO_EVENT)
-            had_sound = False
-        elif matrix.data[top, t, 1]:
-            actions.append(pitch_action(matrix.note_low + top))
-            had_sound = True
-        else:
-            actions.append(MELODY_NO_EVENT)
-            had_sound = True
-    return MelodySequence(actions)
-
-
-def melody_to_matrix(melody: MelodySequence, note_low: int, n_notes: int,
-                     steps_per_measure: int = 16) -> NoteStateMatrix:
-    """Inverse-ish of extract_melody: lay a melody onto a piano roll.
-
-    Out-of-range rows stay silent; holds extend the current note.
-    """
-    data = np.zeros((n_notes, len(melody), 2), dtype=np.uint8)
-    sounding = None
-    for t, action in enumerate(melody):
-        if action == MELODY_NOTE_OFF:
-            sounding = None
-        elif action != MELODY_NO_EVENT:
-            sounding = action_pitch(action)
-            row = sounding - note_low
-            if 0 <= row < n_notes:
-                data[row, t] = (1, 1)
-            continue
-        if sounding is not None:
-            row = sounding - note_low
-            if 0 <= row < n_notes:
-                data[row, t, 0] = 1
-    return NoteStateMatrix(data, note_low, steps_per_measure)

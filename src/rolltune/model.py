@@ -96,16 +96,13 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
                           if name.startswith(prefix + "/")})
         stack = []
         for i in indices:
-            fields = {}
-            for fname in nn.LstmCellParams.GATE_FIELDS:
+            gates = {}
+            for fname in nn.GATE_FIELDS:
                 key = f"{prefix}/{i}/{fname}"
                 if key not in arrays:
                     raise ValueError(f"checkpoint is missing {key}")
-                fields[fname] = np.array(arrays[key], dtype=np.float64)
-            hidden = fields["w_i"].shape[0]
-            stack.append(nn.LstmCellParams(
-                input_size=fields["w_i"].shape[1] - hidden,
-                hidden_size=hidden, **fields))
+                gates[fname] = arrays[key]
+            stack.append(nn.LstmCellParams.from_gates(gates))
         return stack
 
     for key in ("proj/w", "proj/b"):

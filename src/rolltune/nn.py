@@ -1,16 +1,22 @@
 """Dense numerics for the recurrent stacks.
 
 Everything here operates on plain numpy float64 arrays, stored row-major.
-The LSTM cell, its backward pass, Adadelta, and the finite-difference
-checker are written out explicitly so that every gradient the package
-relies on can be verified against an independent numerical oracle.
+There is one LSTM kernel: stack_forward scans a stack of cells with one
+input projection per layer and one sigmoid call per step, stack_backward
+backpropagates through that scan, and stack_step is the scan at length
+1. Adadelta and the finite-difference checker are written out
+explicitly so that every gradient the package relies on can be verified
+against an independent numerical oracle.
 
 Conventions:
   * a "stack" is a list of LstmCellParams applied bottom to top,
   * scans run over a leading step axis with a row axis for whatever is
     batched (sequences, notes, transitions),
-  * gate order inside packed weight blocks is input, forget, output,
-    candidate.
+  * a cell holds one block w (4H, D + H) that multiplies concat(x,
+    h_prev) and one bias b (4H,), gates in the order input, forget,
+    output, candidate; the per-gate names (w_i, ..., b_c) are row-block
+    views of them, so checkpoints, optimizer state and target syncs
+    address the memory the kernel reads.
 """
 
 from __future__ import annotations
@@ -20,15 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+GATES = ("i", "f", "o", "c")
+GATE_FIELDS = tuple(f"w_{g}" for g in GATES) + tuple(f"b_{g}" for g in GATES)
+
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in its tanh form, stable for any input."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def log_sigmoid(x):
@@ -55,25 +59,25 @@ class NonFiniteGradientError(ArithmeticError):
     """Raised when an optimizer receives NaN or infinite gradients."""
 
 
+def gate_views(w, b, hidden, prefix=""):
+    """Name -> row-block view of every gate of a packed (w, b) pair,
+    keyed like GATE_FIELDS."""
+    views = {}
+    for kind, arr in (("w", w), ("b", b)):
+        for k, gate in enumerate(GATES):
+            views[f"{prefix}{kind}_{gate}"] = arr[k * hidden:(k + 1) * hidden]
+    return views
+
+
 @dataclass
 class LstmCellParams:
-    """One LSTM cell. Each gate weight multiplies concat(x, h_prev).
-
-    Weight shapes are (hidden, input + hidden); biases are (hidden,).
-    """
+    """One LSTM cell: w (4H, D + H) multiplies concat(x, h_prev) and b is
+    (4H,), with the gate blocks stacked in the order i, f, o, c."""
 
     input_size: int
     hidden_size: int
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-
-    GATE_FIELDS = ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")
+    w: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def fresh(cls, input_size, hidden_size, rng):
@@ -81,149 +85,69 @@ class LstmCellParams:
         except the forget gate bias, which starts at 1.0."""
         fan_in = input_size + hidden_size
         bound = 1.0 / math.sqrt(fan_in)
+        w = rng.uniform(-bound, bound, size=(4 * hidden_size, fan_in))
+        b = np.zeros(4 * hidden_size)
+        b[hidden_size:2 * hidden_size] = 1.0
+        return cls(input_size, hidden_size, w, b)
 
-        def w():
-            return rng.uniform(-bound, bound, size=(hidden_size, fan_in))
-
-        return cls(
-            input_size=input_size,
-            hidden_size=hidden_size,
-            w_i=w(), w_f=w(), w_o=w(), w_c=w(),
-            b_i=np.zeros(hidden_size),
-            b_f=np.ones(hidden_size),
-            b_o=np.zeros(hidden_size),
-            b_c=np.zeros(hidden_size),
-        )
+    @classmethod
+    def from_gates(cls, gates: dict):
+        """Pack eight per-gate arrays keyed like GATE_FIELDS, as a
+        checkpoint stores them, into one cell. Every shape is checked."""
+        w_i = np.asarray(gates["w_i"])
+        if w_i.ndim != 2:
+            raise ValueError(f"w_i has shape {w_i.shape}, "
+                             "expected (hidden, input + hidden)")
+        hidden, fan_in = w_i.shape
+        for name in GATE_FIELDS:
+            want = (hidden, fan_in) if name[0] == "w" else (hidden,)
+            if np.shape(gates[name]) != want:
+                raise ValueError(f"{name} has shape {np.shape(gates[name])}"
+                                 f", expected {want}")
+        w = np.concatenate([gates[f"w_{g}"] for g in GATES], dtype=np.float64)
+        b = np.concatenate([gates[f"b_{g}"] for g in GATES], dtype=np.float64)
+        return cls(fan_in - hidden, hidden, w, b)
 
     def validate(self):
-        fan_in = self.input_size + self.hidden_size
-        for name in ("w_i", "w_f", "w_o", "w_c"):
-            arr = getattr(self, name)
-            if arr.shape != (self.hidden_size, fan_in):
-                raise ValueError(f"{name} has shape {arr.shape}, "
-                                 f"expected {(self.hidden_size, fan_in)}")
-        for name in ("b_i", "b_f", "b_o", "b_c"):
-            if getattr(self, name).shape != (self.hidden_size,):
-                raise ValueError(f"{name} has wrong shape")
+        want = (4 * self.hidden_size, self.input_size + self.hidden_size)
+        if self.w.shape != want or self.b.shape != want[:1]:
+            raise ValueError(f"packed shapes {self.w.shape}, {self.b.shape}"
+                             f" do not match expected {want}, {want[:1]}")
 
     def packed(self):
-        """Gate weights stacked into (wx, wh, b) with wx (4H, D), wh (4H, H),
-        b (4H,). Gate order: i, f, o, c."""
+        """Views (wx, wh, b) of the packed block: wx (4H, D), wh (4H, H),
+        b (4H,). Nothing is copied."""
         d = self.input_size
-        wx = np.concatenate([self.w_i[:, :d], self.w_f[:, :d],
-                             self.w_o[:, :d], self.w_c[:, :d]], axis=0)
-        wh = np.concatenate([self.w_i[:, d:], self.w_f[:, d:],
-                             self.w_o[:, d:], self.w_c[:, d:]], axis=0)
-        b = np.concatenate([self.b_i, self.b_f, self.b_o, self.b_c])
-        return wx, wh, b
-
-    def unpack_grads(self, dwx, dwh, db):
-        """Split packed gradient blocks back into per-gate arrays."""
-        h = self.hidden_size
-        out = {}
-        for k, name in enumerate(("i", "f", "o", "c")):
-            out[f"w_{name}"] = np.concatenate(
-                [dwx[k * h:(k + 1) * h], dwh[k * h:(k + 1) * h]], axis=1)
-            out[f"b_{name}"] = db[k * h:(k + 1) * h]
-        return out
+        return self.w[:, :d], self.w[:, d:], self.b
 
     def named_arrays(self, prefix=""):
-        for name in self.GATE_FIELDS:
-            yield prefix + name, getattr(self, name)
+        """(name, view) pairs for the eight GATE_FIELDS arrays."""
+        return gate_views(self.w, self.b, self.hidden_size, prefix).items()
 
     def copy(self):
-        return LstmCellParams(
-            self.input_size, self.hidden_size,
-            *(getattr(self, n).copy() for n in self.GATE_FIELDS))
-
-
-def lstm_step(params: LstmCellParams, x, h_prev, c_prev):
-    """Single forward step; accepts 1-D vectors or (rows, dim) batches.
-
-    i, f, o are logistic gates, the candidate uses tanh:
-      c = f * c_prev + i * tanh_candidate
-      h = o * tanh(c)
-    """
-    h, c, _ = lstm_cell_forward(params, x, h_prev, c_prev)
-    return h, c
-
-
-def lstm_cell_forward(params: LstmCellParams, x, h_prev, c_prev):
-    """Like lstm_step but also returns the cache lstm_cell_backward needs."""
-    wx, wh, b = params.packed()
-    z = x @ wx.T + h_prev @ wh.T + b
-    hs = params.hidden_size
-    i = sigmoid(z[..., 0 * hs:1 * hs])
-    f = sigmoid(z[..., 1 * hs:2 * hs])
-    o = sigmoid(z[..., 2 * hs:3 * hs])
-    g = np.tanh(z[..., 3 * hs:4 * hs])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    cache = (x, h_prev, c_prev, i, f, o, g, c)
-    return h, c, cache
-
-
-def lstm_cell_backward(params: LstmCellParams, cache, dh, dc):
-    """Backward through one cell step.
-
-    dh, dc are gradients arriving at this step's h and c outputs.
-    Returns (param_grads, dx, dh_prev, dc_prev); param_grads is a dict
-    keyed like LstmCellParams.GATE_FIELDS.
-    """
-    x, h_prev, c_prev, i, f, o, g, c = cache
-    tc = np.tanh(c)
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    dg = dc_total * i
-    df = dc_total * c_prev
-    dc_prev = dc_total * f
-    dz = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        do * o * (1.0 - o),
-        dg * (1.0 - g * g),
-    ], axis=-1)
-    wx, wh, _ = params.packed()
-    dx = dz @ wx
-    dh_prev = dz @ wh
-    flat_dz = dz.reshape(-1, dz.shape[-1])
-    flat_x = np.atleast_2d(x).reshape(-1, params.input_size)
-    flat_h = np.atleast_2d(h_prev).reshape(-1, params.hidden_size)
-    dwx = flat_dz.T @ flat_x
-    dwh = flat_dz.T @ flat_h
-    db = flat_dz.sum(axis=0)
-    grads = params.unpack_grads(dwx, dwh, db)
-    return grads, dx, dh_prev, dc_prev
+        return LstmCellParams(self.input_size, self.hidden_size,
+                              self.w.copy(), self.b.copy())
 
 
 def stack_step(layers, x, states, keep_masks=None):
-    """Advance a stack of cells one step.
+    """Advance a stack one step: stack_forward over a scan of length 1.
 
-    states is a list of (h, c) pairs, one per layer; returns the top
-    output (after any dropout mask) and the new state list. Masks apply
-    to the stream passed upward, not to the recurrent path.
+    x is (rows, D) and states a list of (h, c) pairs, one per layer.
+    Returns the top output (after any dropout mask) and the new state
+    list. Masks apply to the stream passed upward, not to the recurrent
+    path.
     """
-    new_states = []
-    stream = x
-    for li, layer in enumerate(layers):
-        h_prev, c_prev = states[li]
-        h, c = lstm_step(layer, stream, h_prev, c_prev)
-        new_states.append((h, c))
-        stream = h if keep_masks is None else h * keep_masks[li]
-    return stream, new_states
+    stream, _, finals = stack_forward(layers, x[None], states, keep_masks)
+    return stream[0], finals
 
 
 @dataclass
 class _LayerCache:
     inputs: np.ndarray      # (S, R, D) stream entering the layer
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-    h0: np.ndarray
+    gates: np.ndarray       # (S, R, 4H) activated gates i, f, o, g
+    c: np.ndarray           # (S, R, H)
+    h: np.ndarray           # (S, R, H)
+    h0: np.ndarray          # (R, H) state before the first step
     c0: np.ndarray
     mask: np.ndarray | None
 
@@ -231,100 +155,87 @@ class _LayerCache:
 def stack_forward(layers, xs, init_states=None, keep_masks=None):
     """Run a stack over a whole scan.
 
-    xs has shape (S, R, D): S steps of R parallel rows. Returns the top
-    stream (S, R, H_top), a cache for stack_backward, and the final
-    (h, c) list. The per-step x contribution is batched into one matmul
-    per layer; only the recurrent term runs inside the step loop.
+    xs has shape (S, R, D): S steps of R parallel rows. init_states, a
+    list of (h, c) pairs of shape (R, H), is read and never written.
+    Returns the top stream (S, R, H_top), a cache for stack_backward,
+    and the final (h, c) list. Inputs are projected in one matrix
+    product per layer; each step adds the recurrent product, activates
+    the gates in place (one sigmoid call for i, f and o), then sets
+    c = f * c_prev + i * tanh(candidate) and h = o * tanh(c).
     """
     s_len, rows, _ = xs.shape
-    caches = []
+    caches, finals = [], []
     stream = xs
-    finals = []
     for li, layer in enumerate(layers):
         hs = layer.hidden_size
         wx, wh, b = layer.packed()
         if init_states is None:
-            h = np.zeros((rows, hs))
-            c = np.zeros((rows, hs))
+            h = c = np.zeros((rows, hs))
         else:
-            h, c = (a.copy() for a in init_states[li])
-        h0, c0 = h.copy(), c.copy()
-        zx = stream.reshape(s_len * rows, -1) @ wx.T
-        zx = zx.reshape(s_len, rows, 4 * hs) + b
-        i_all = np.empty((s_len, rows, hs))
-        f_all = np.empty_like(i_all)
-        o_all = np.empty_like(i_all)
-        g_all = np.empty_like(i_all)
-        c_all = np.empty_like(i_all)
-        h_all = np.empty_like(i_all)
+            h, c = init_states[li]
+        h0, c0 = h, c
+        gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
+            s_len, rows, 4 * hs)
+        gates += b
+        c_all = np.empty((s_len, rows, hs))
+        h_all = np.empty_like(c_all)
         for s in range(s_len):
-            z = zx[s] + h @ wh.T
-            i = sigmoid(z[:, 0 * hs:1 * hs])
-            f = sigmoid(z[:, 1 * hs:2 * hs])
-            o = sigmoid(z[:, 2 * hs:3 * hs])
-            g = np.tanh(z[:, 3 * hs:4 * hs])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            i_all[s], f_all[s], o_all[s], g_all[s] = i, f, o, g
+            z = gates[s]
+            z += h @ wh.T
+            z[:, :3 * hs] = sigmoid(z[:, :3 * hs])
+            np.tanh(z[:, 3 * hs:], out=z[:, 3 * hs:])
+            c = z[:, hs:2 * hs] * c + z[:, :hs] * z[:, 3 * hs:]
+            h = z[:, 2 * hs:3 * hs] * np.tanh(c)
             c_all[s], h_all[s] = c, h
         mask = None if keep_masks is None else keep_masks[li]
-        caches.append(_LayerCache(stream, i_all, f_all, o_all, g_all,
-                                  c_all, h_all, h0, c0, mask))
+        caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
         finals.append((h, c))
         stream = h_all if mask is None else h_all * mask
     return stream, caches, finals
 
 
-def stack_backward(layers, caches, dstream, d_finals=None):
+def stack_backward(layers, caches, dstream):
     """Backpropagate through a stack_forward scan.
 
     dstream is the gradient w.r.t. the top stream (S, R, H_top).
     Returns (per-layer grad dicts, dxs) where dxs is the gradient
-    w.r.t. the original scan input.
+    w.r.t. the original scan input. A layer's dict is keyed like
+    GATE_FIELDS and holds row-block views of one packed gradient block.
     """
     grads_out = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
-        cache = caches[li]
-        hs = layer.hidden_size
+        layer, cache = layers[li], caches[li]
+        hs, d = layer.hidden_size, layer.input_size
         wx, wh, _ = layer.packed()
         s_len, rows, _ = cache.h.shape
         if cache.mask is not None:
             dstream = dstream * cache.mask
-        dh_carry = np.zeros((rows, hs))
-        dc_carry = np.zeros((rows, hs))
-        if d_finals is not None and d_finals[li] is not None:
-            dfh, dfc = d_finals[li]
-            dh_carry = dh_carry + dfh
-            dc_carry = dc_carry + dfc
+        dh_carry = dc_carry = np.zeros((rows, hs))
         dz_all = np.empty((s_len, rows, 4 * hs))
         for s in range(s_len - 1, -1, -1):
-            dh = dstream[s] + dh_carry
-            i, f, o, g, c = (cache.i[s], cache.f[s], cache.o[s],
-                             cache.g[s], cache.c[s])
-            tc = np.tanh(c)
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
+            act = cache.gates[s]
+            sig = act[:, :3 * hs]
+            i, f, o, g = (act[:, k * hs:(k + 1) * hs] for k in range(4))
             c_prev = cache.c[s - 1] if s > 0 else cache.c0
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_carry = dc * f
+            dh = dstream[s] + dh_carry
+            tc = np.tanh(cache.c[s])
+            dc = dc_carry + dh * o * (1.0 - tc * tc)
             dz = dz_all[s]
-            dz[:, 0 * hs:1 * hs] = di * i * (1.0 - i)
-            dz[:, 1 * hs:2 * hs] = df * f * (1.0 - f)
-            dz[:, 2 * hs:3 * hs] = do * o * (1.0 - o)
-            dz[:, 3 * hs:4 * hs] = dg * (1.0 - g * g)
+            dz[:, :hs] = dc * g
+            dz[:, hs:2 * hs] = dc * c_prev
+            dz[:, 2 * hs:3 * hs] = dh * tc
+            dz[:, :3 * hs] *= sig
+            dz[:, :3 * hs] *= 1.0 - sig
+            dz[:, 3 * hs:] = dc * i * (1.0 - g * g)
+            dc_carry = dc * f
             dh_carry = dz @ wh
         flat_dz = dz_all.reshape(s_len * rows, 4 * hs)
-        flat_x = cache.inputs.reshape(s_len * rows, -1)
         h_prev = np.concatenate([cache.h0[None], cache.h[:-1]], axis=0)
-        flat_h = h_prev.reshape(s_len * rows, hs)
-        dwx = flat_dz.T @ flat_x
-        dwh = flat_dz.T @ flat_h
-        db = flat_dz.sum(axis=0)
-        grads_out[li] = layer.unpack_grads(dwx, dwh, db)
-        dstream = (flat_dz @ wx).reshape(s_len, rows, -1)
+        dw = np.empty_like(layer.w)
+        dw[:, :d] = flat_dz.T @ cache.inputs.reshape(s_len * rows, d)
+        dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
+        grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
+        dstream = (flat_dz @ wx).reshape(s_len, rows, d)
     return grads_out, dstream
 
 

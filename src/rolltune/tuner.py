@@ -249,23 +249,6 @@ class RewardModel:
         return row - nn.logsumexp(row), _split_cells(finals, 0, self.n_notes)
 
 
-def melody_log_prob(reward_model: RewardModel, snapshot: TrunkSnapshot,
-                    action: int):
-    """log p(action | state) under the frozen primed model, and the
-    full 38-way log-distribution it came from."""
-    dist, _ = reward_model.log_dist(snapshot)
-    return float(dist[action]), dist
-
-
-def blended_reward(reward_model: RewardModel, snapshot: TrunkSnapshot,
-                   action: int, breakdown, c: float) -> float:
-    """log p(a|s) plus the rule reward scaled by 1/c."""
-    if c == 0.0:
-        raise ValueError("reward weight c cannot be zero")
-    log_p, _ = melody_log_prob(reward_model, snapshot, action)
-    return log_p + breakdown.total / c
-
-
 @dataclass
 class MelodyQNetwork:
     """Trunk copy of the primed model plus a square linear head over

@@ -122,3 +122,27 @@ class TestValidation:
     def test_empty_section_name_rejected_on_write(self):
         with pytest.raises(ValueError, match="name"):
             checkpoint.checkpoint_bytes({"": np.ones(2)}, {})
+
+
+class TestAtomicWrite:
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "m.ckpt"
+        checkpoint.write_checkpoint(path, {"w": np.ones(3)}, {})
+        before = path.read_bytes()
+        # fails while writing the temporary file
+        with pytest.raises(TypeError):
+            checkpoint.write_atomic(path, "not bytes")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+        # fails at the final rename
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.write_checkpoint(path, {"w": np.zeros(9)}, {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from rolltune import metrics, theory
-from rolltune.metrics import (MetricReport, evaluate, normalized_loglik,
-                              report_from_csv, report_table, report_to_csv,
-                              song_metrics)
+from rolltune.metrics import (MetricReport, evaluate, report_from_csv,
+                              report_table, report_to_csv, song_metrics)
 from rolltune.theory import TheoryConfig
 
 CFG = TheoryConfig()
@@ -197,27 +196,6 @@ class TestEvaluateInvariants:
                 for i, a in enumerate(melody))
             row = song_metrics(melody, CFG)
             assert (penalty == 0.0) == (row["notes_not_in_key_pct"] == 0.0)
-
-
-class TestNormalizedLoglik:
-
-    def test_reference_scaling(self):
-        got = normalized_loglik(-5.55, 88)
-        assert got == pytest.approx(-5.55 * 88 / 78, abs=1e-12)
-        assert got == pytest.approx(-6.262, abs=1e-3)
-
-    def test_identity_at_reference_count(self):
-        assert normalized_loglik(-3.3, 78) == -3.3
-        assert normalized_loglik(-3.3, 36, 36) == -3.3
-
-    def test_zero_is_fixed(self):
-        assert normalized_loglik(0.0, 88) == 0.0
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError, match="reference"):
-            normalized_loglik(-1.0, 88, 0)
-        with pytest.raises(ValueError, match="model"):
-            normalized_loglik(-1.0, 0)
 
 
 class TestSerialization:

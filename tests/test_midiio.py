@@ -1,4 +1,4 @@
-"""MIDI parsing/writing, quantization, and melody projection checks."""
+"""MIDI parsing/writing and quantization checks."""
 
 import numpy as np
 import pytest
@@ -291,56 +291,3 @@ class TestRoundTrip:
         data = midiio.serialize_midi(midiio.to_midi(m))
         again = midiio.serialize_midi(midiio.parse_midi(data))
         assert data == again
-
-
-class TestExtractMelody:
-    def matrix_from(self, spans, note_low=40, n_notes=50, n_steps=8):
-        data = np.zeros((n_notes, n_steps, 2), dtype=np.uint8)
-        for pitch, start, dur in spans:
-            row = pitch - note_low
-            data[row, start:start + dur, 0] = 1
-            data[row, start, 1] = 1
-        return NoteStateMatrix(data, note_low)
-
-    def test_onset_hold_off_silence(self):
-        # C#3 struck, held one step, then nothing: 3, 1, 0, 1
-        m = self.matrix_from([(49, 0, 2)], n_steps=4)
-        assert midiio.extract_melody(m).actions == [3, 1, 0, 1]
-
-    def test_four_onsets(self):
-        m = self.matrix_from([(48, 0, 1), (50, 1, 1), (52, 2, 1), (53, 3, 1)],
-                             n_steps=4)
-        assert midiio.extract_melody(m).actions == [2, 4, 6, 7]
-
-    def test_all_silent(self):
-        m = NoteStateMatrix(np.zeros((4, 6, 2), dtype=np.uint8), 60)
-        assert midiio.extract_melody(m).actions == [1] * 6
-
-    def test_highest_voice_wins(self):
-        m = self.matrix_from([(50, 0, 4), (60, 1, 2)], n_steps=4)
-        # top voice enters at 1, releases at 3 revealing the held 50
-        assert midiio.extract_melody(m).actions == [4, 14, 1, 1]
-
-    def test_out_of_range_ignored(self):
-        m = self.matrix_from([(90, 0, 4)], note_low=40, n_notes=60, n_steps=4)
-        assert midiio.extract_melody(m).actions == [1, 1, 1, 1]
-
-    def test_no_double_note_off_property(self):
-        rng = np.random.default_rng(77)
-        for _ in range(50):
-            m = helpers.random_matrix(rng, n_notes=40, n_steps=24,
-                                      note_low=44, density=0.05)
-            melody = midiio.extract_melody(m)
-            since_pitch = False
-            for a in melody:
-                if a >= 2:
-                    since_pitch = True
-                elif a == 0:
-                    assert since_pitch, "note-off without a pitch before it"
-                    since_pitch = False
-
-    def test_melody_round_trip_through_matrix(self):
-        melody = midiio.MelodySequence([2, 1, 1, 0, 1, 20, 37, 1, 0, 1])
-        m = midiio.melody_to_matrix(melody, note_low=21, n_notes=88)
-        m.validate()
-        assert midiio.extract_melody(m).actions == melody.actions

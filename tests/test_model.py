@@ -34,10 +34,11 @@ def sig(x):
 def ref_cell(lay, x, h, c):
     """Gate equations written out directly, one vector at a time."""
     z = np.concatenate([x, h])
-    i = sig(lay.w_i @ z + lay.b_i)
-    f = sig(lay.w_f @ z + lay.b_f)
-    o = sig(lay.w_o @ z + lay.b_o)
-    g = np.tanh(lay.w_c @ z + lay.b_c)
+    p = dict(lay.named_arrays())
+    i = sig(p["w_i"] @ z + p["b_i"])
+    f = sig(p["w_f"] @ z + p["b_f"])
+    o = sig(p["w_o"] @ z + p["b_o"])
+    g = np.tanh(p["w_c"] @ z + p["b_c"])
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -110,7 +111,7 @@ class TestForwardOracle:
         out_perm, _ = model.timewise_pass(feats[:, perm], params.timewise)
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-14)
 
-    def test_single_step_matches_lstm_step(self):
+    def test_single_step_matches_stack_step(self):
         rng = np.random.default_rng(9)
         params = small_params(rng)
         batch = small_batch(rng, t=1)
@@ -119,8 +120,8 @@ class TestForwardOracle:
         lay = params.timewise[0]
         b, n = batch.shape[:2]
         x = feats[:, :, 0].reshape(b * n, -1)
-        h, _ = nn.lstm_step(lay, x, np.zeros((b * n, lay.hidden_size)),
-                            np.zeros((b * n, lay.hidden_size)))
+        zeros = np.zeros((b * n, lay.hidden_size))
+        h, _ = nn.stack_step([lay], x, [(zeros, zeros)])
         np.testing.assert_allclose(out[:, :, 0], h.reshape(b, n, -1),
                                    atol=1e-14)
 
@@ -248,6 +249,8 @@ class TestParamArrays:
         arrays = model.param_arrays(params)
         arrays["proj/b"][0] = 321.0
         assert params.proj_b[0] == 321.0
+        arrays["timewise/0/w_f"][0, 0] = 654.0
+        assert params.timewise[0].w[3, 0] == 654.0
 
     def test_missing_key_is_an_error(self):
         rng = np.random.default_rng(18)

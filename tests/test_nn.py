@@ -16,13 +16,14 @@ from rolltune import nn
 def scalar_lstm_step(params, x, h_prev, c_prev):
     """Element-by-element reference: no numpy vector math."""
     hs = params.hidden_size
+    p = dict(params.named_arrays())
     xs = list(x) + list(h_prev)
     h_out, c_out = [], []
     for j in range(hs):
-        zi = sum(params.w_i[j][k] * xs[k] for k in range(len(xs))) + params.b_i[j]
-        zf = sum(params.w_f[j][k] * xs[k] for k in range(len(xs))) + params.b_f[j]
-        zo = sum(params.w_o[j][k] * xs[k] for k in range(len(xs))) + params.b_o[j]
-        zc = sum(params.w_c[j][k] * xs[k] for k in range(len(xs))) + params.b_c[j]
+        zi = sum(p["w_i"][j][k] * xs[k] for k in range(len(xs))) + p["b_i"][j]
+        zf = sum(p["w_f"][j][k] * xs[k] for k in range(len(xs))) + p["b_f"][j]
+        zo = sum(p["w_o"][j][k] * xs[k] for k in range(len(xs))) + p["b_o"][j]
+        zc = sum(p["w_c"][j][k] * xs[k] for k in range(len(xs))) + p["b_c"][j]
         i = 1.0 / (1.0 + math.exp(-zi))
         f = 1.0 / (1.0 + math.exp(-zf))
         o = 1.0 / (1.0 + math.exp(-zo))
@@ -37,20 +38,59 @@ def random_cell(input_size, hidden_size, rng):
     cell = nn.LstmCellParams.fresh(input_size, hidden_size, rng)
     # fresh() starts biases at 0/1; randomize everything so no gradient
     # is accidentally zero in the checks below
-    for name in cell.GATE_FIELDS:
-        arr = getattr(cell, name)
+    for _, arr in cell.named_arrays():
         arr += rng.normal(0.0, 0.3, size=arr.shape)
     return cell
+
+
+def step_one(cell, x, h_prev, c_prev):
+    """One cell, one step, one row through the kernel, as 1-D vectors."""
+    states = [(h_prev[None], c_prev[None])]
+    _, [(h, c)] = nn.stack_step([cell], x[None], states)
+    return h[0], c[0]
+
+
+class TestPackedCell:
+    def test_packed_blocks_are_views_of_w(self):
+        cell = nn.LstmCellParams.fresh(3, 5, np.random.default_rng(0))
+        wx, wh, b = cell.packed()
+        assert wx.shape == (20, 3) and wh.shape == (20, 5)
+        assert np.shares_memory(wx, cell.w) and np.shares_memory(wh, cell.w)
+        assert b is cell.b
+
+    def test_fresh_equals_four_per_gate_draws(self):
+        cell = nn.LstmCellParams.fresh(3, 5, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        bound = 1.0 / math.sqrt(8)
+        gates = dict(cell.named_arrays())
+        for name in ("w_i", "w_f", "w_o", "w_c"):
+            np.testing.assert_array_equal(
+                gates[name], rng.uniform(-bound, bound, size=(5, 8)))
+
+    def test_from_gates_round_trips_and_checks_every_shape(self):
+        cell = random_cell(3, 5, np.random.default_rng(1))
+        gates = {k: v.copy() for k, v in cell.named_arrays()}
+        back = nn.LstmCellParams.from_gates(gates)
+        assert (back.input_size, back.hidden_size) == (3, 5)
+        np.testing.assert_array_equal(back.w, cell.w)
+        np.testing.assert_array_equal(back.b, cell.b)
+        # w_i sets the expected sizes, so it is checked for being 2-D
+        bad_gates = dict({name: gates[name][:-1]
+                          for name in nn.GATE_FIELDS[1:]},
+                         w_i=gates["w_i"][0])
+        for name, bad in bad_gates.items():
+            with pytest.raises(ValueError, match=name):
+                nn.LstmCellParams.from_gates(dict(gates, **{name: bad}))
 
 
 class TestLstmStep:
     def test_zero_params_zero_input(self):
         rng = np.random.default_rng(0)
         cell = nn.LstmCellParams.fresh(3, 5, rng)
-        for name in cell.GATE_FIELDS:
-            getattr(cell, name)[...] = 0.0
+        for _, arr in cell.named_arrays():
+            arr[...] = 0.0
         c_prev = rng.normal(size=5)
-        h, c = nn.lstm_step(cell, np.zeros(3), np.zeros(5), c_prev)
+        h, c = step_one(cell, np.zeros(3), np.zeros(5), c_prev)
         np.testing.assert_allclose(c, 0.5 * c_prev, rtol=0, atol=1e-15)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev),
                                    rtol=0, atol=1e-15)
@@ -62,7 +102,7 @@ class TestLstmStep:
             x = rng.normal(size=6)
             h_prev = rng.normal(size=4)
             c_prev = rng.normal(size=4)
-            h, c = nn.lstm_step(cell, x, h_prev, c_prev)
+            h, c = step_one(cell, x, h_prev, c_prev)
             h_ref, c_ref = scalar_lstm_step(cell, x, h_prev, c_prev)
             np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
@@ -73,9 +113,9 @@ class TestLstmStep:
         xs = rng.normal(size=(4, 5))
         hs = rng.normal(size=(4, 3))
         cs = rng.normal(size=(4, 3))
-        h_b, c_b = nn.lstm_step(cell, xs, hs, cs)
+        _, [(h_b, c_b)] = nn.stack_step([cell], xs, [(hs, cs)])
         for r in range(4):
-            h1, c1 = nn.lstm_step(cell, xs[r], hs[r], cs[r])
+            h1, c1 = step_one(cell, xs[r], hs[r], cs[r])
             # batched and single-row BLAS kernels may differ by an ulp
             np.testing.assert_allclose(h_b[r], h1, rtol=0, atol=1e-14)
             np.testing.assert_allclose(c_b[r], c1, rtol=0, atol=1e-14)
@@ -85,26 +125,21 @@ class TestLstmBackward:
     def test_single_step_finite_differences(self):
         rng = np.random.default_rng(11)
         cell = random_cell(3, 2, rng)
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=2)
-        c_prev = rng.normal(size=2)
-        wh = rng.uniform(0.5, 1.5, size=2)
-        wc = rng.uniform(0.5, 1.5, size=2)
+        xs = rng.normal(size=(1, 1, 3))
+        init = [(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)))]
+        w_out = rng.uniform(0.5, 1.5, size=(1, 1, 2))
 
         def loss():
-            h, c = nn.lstm_step(cell, x, h_prev, c_prev)
-            return float(h @ wh + c @ wc)
+            stream, _, _ = nn.stack_forward([cell], xs, init_states=init)
+            return float(np.sum(stream * w_out))
 
-        _, _, cache = nn.lstm_cell_forward(cell, x, h_prev, c_prev)
-        grads, dx, dh_prev, dc_prev = nn.lstm_cell_backward(
-            cell, cache, wh.copy(), wc.copy())
-        params = {name: getattr(cell, name) for name in cell.GATE_FIELDS}
+        _, caches, _ = nn.stack_forward([cell], xs, init_states=init)
+        grads_list, dxs = nn.stack_backward([cell], caches, w_out.copy())
+        params = dict(cell.named_arrays())
         numeric = nn.finite_difference_gradients(loss, params)
-        assert nn.max_relative_error(grads, numeric) < 1e-6
-        inputs = {"x": x, "h_prev": h_prev, "c_prev": c_prev}
-        numeric_in = nn.finite_difference_gradients(loss, inputs)
-        analytic_in = {"x": dx, "h_prev": dh_prev, "c_prev": dc_prev}
-        assert nn.max_relative_error(analytic_in, numeric_in) < 1e-6
+        assert nn.max_relative_error(grads_list[0], numeric) < 1e-6
+        numeric_x = nn.finite_difference_gradients(loss, {"xs": xs})
+        assert nn.max_relative_error({"xs": dxs}, numeric_x) < 1e-6
 
     def test_four_step_unrolled_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -118,7 +153,7 @@ class TestLstmBackward:
 
         _, caches, _ = nn.stack_forward([cell], xs)
         grads_list, dxs = nn.stack_backward([cell], caches, w_out.copy())
-        params = {name: getattr(cell, name) for name in cell.GATE_FIELDS}
+        params = dict(cell.named_arrays())
         numeric = nn.finite_difference_gradients(loss, params)
         assert nn.max_relative_error(grads_list[0], numeric) < 1e-5
         numeric_x = nn.finite_difference_gradients(loss, {"xs": xs})
@@ -155,8 +190,7 @@ class TestStackScan:
         _, caches, _ = nn.stack_forward(layers, xs)
         grads_list, _ = nn.stack_backward(layers, caches, w_out.copy())
         for li, layer in enumerate(layers):
-            params = {name: getattr(layer, name)
-                      for name in layer.GATE_FIELDS}
+            params = dict(layer.named_arrays())
             numeric = nn.finite_difference_gradients(loss, params)
             assert nn.max_relative_error(grads_list[li], numeric) < 1e-5
 

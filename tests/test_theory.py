@@ -291,6 +291,11 @@ class TestConfig:
             TheoryConfig(max_repeats=0)
         with pytest.raises(ValueError, match="finite"):
             TheoryConfig(motif_reward=float("nan"))
+        # a run config that tune or eval would reject is rejected up front
+        with pytest.raises(ValueError, match="autocorr_threshold"):
+            RunConfig(autocorr_threshold=0).validate()
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(motif_reward=float("nan")).validate()
 
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,

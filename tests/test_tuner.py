@@ -13,7 +13,6 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_columns
 from rolltune.midiio import (MELODY_ACTIONS, MELODY_NO_EVENT,
                              MELODY_NOTE_OFF)
-from rolltune.theory import RewardBreakdown
 
 LN2 = math.log(2.0)
 
@@ -47,34 +46,29 @@ def random_snapshot(rng, params, note_low=48, n_notes=36):
 
 def reference_scores(params, note_low, snap):
     """Scalar re-implementation of trunk_scores for one snapshot: per-note
-    python loops through the recurrences, then the projection formula in
-    plain math calls. Returns (scores, per-layer final (h, c) lists)."""
+    python loops through the recurrences, one row per nn.stack_step call,
+    then the projection formula in plain math calls. Returns (scores,
+    per-layer final (h, c) lists)."""
     n = snap.col.shape[0]
     feats = expand_columns(snap.col[None], note_low,
                            np.array([snap.pos]))[0]
     tops = []
     finals = [([], []) for _ in params.timewise]
     for row in range(n):
-        xi = feats[row]
-        for li, lay in enumerate(params.timewise):
-            h, c = nn.lstm_step(lay, xi, snap.cells[li][0][row],
-                                snap.cells[li][1][row])
-            finals[li][0].append(h)
-            finals[li][1].append(c)
-            xi = h
-        tops.append(xi)
-    states = [(np.zeros(lay.hidden_size), np.zeros(lay.hidden_size))
+        cells = [(h[row:row + 1], c[row:row + 1]) for h, c in snap.cells]
+        top, cells = nn.stack_step(params.timewise, feats[row:row + 1],
+                                   cells)
+        for li, (h, c) in enumerate(cells):
+            finals[li][0].append(h[0])
+            finals[li][1].append(c[0])
+        tops.append(top[0])
+    states = [(np.zeros((1, lay.hidden_size)),) * 2
               for lay in params.notewise]
     logits = np.zeros((n, 2))
     for row in range(n):
         xi = np.concatenate([tops[row], np.zeros(2)])
-        nxt = []
-        for li, lay in enumerate(params.notewise):
-            h, c = nn.lstm_step(lay, xi, states[li][0], states[li][1])
-            nxt.append((h, c))
-            xi = h
-        states = nxt
-        logits[row] = params.proj_w @ xi + params.proj_b
+        top, states = nn.stack_step(params.notewise, xi[None], states)
+        logits[row] = params.proj_w @ top[0] + params.proj_b
 
     def lsig(v):
         return math.log(1.0 / (1.0 + math.exp(-v)))
@@ -196,15 +190,6 @@ class TestProjection:
             dist, _ = rm.log_dist(snap)
             assert abs(np.exp(dist).sum() - 1.0) < 1e-12
 
-    def test_melody_log_prob_picks_from_the_distribution(self):
-        rng = np.random.default_rng(5)
-        params = primed_params(rng)
-        rm = tuner.RewardModel(params, 48, 36)
-        snap = random_snapshot(rng, params)
-        log_p, dist = tuner.melody_log_prob(rm, snap, 7)
-        assert log_p == float(dist[7])
-        assert dist.shape == (MELODY_ACTIONS,)
-
     def test_initial_q_equals_raw_scores(self):
         rng = np.random.default_rng(9)
         params = primed_params(rng)
@@ -217,40 +202,10 @@ class TestProjection:
 
 class TestBlendedReward:
 
-    class _Stub:
-        """Reward model standing in with a fixed log-distribution."""
-
-        def __init__(self, dist):
-            self.dist = dist
-
-        def log_dist(self, snapshot):
-            return self.dist, None
-
-    def test_arithmetic(self):
-        dist = np.full(MELODY_ACTIONS, -3.0)
-        dist[4] = -2.0
-        stub = self._Stub(dist)
-        breakdown = RewardBreakdown.make(interval=1.5)
-        assert tuner.blended_reward(stub, None, 4, breakdown, 0.5) == 1.0
-
-    def test_zero_theory_reward_passes_log_prob_through(self):
-        stub = self._Stub(np.linspace(-4.0, -1.0, MELODY_ACTIONS))
-        breakdown = RewardBreakdown.make()
-        got = tuner.blended_reward(stub, None, 10, breakdown, 0.5)
-        assert got == float(stub.dist[10])
-
-    def test_halving_c_doubles_the_theory_term(self):
-        stub = self._Stub(np.full(MELODY_ACTIONS, -2.5))
-        breakdown = RewardBreakdown.make(key=-1.0, motif=2.5)
-        log_p = -2.5
-        at_half = tuner.blended_reward(stub, None, 0, breakdown, 0.5) - log_p
-        at_one = tuner.blended_reward(stub, None, 0, breakdown, 1.0) - log_p
-        assert at_half == 2.0 * at_one
-
     def test_zero_c_rejected(self):
-        with pytest.raises(ValueError):
-            tuner.blended_reward(self._Stub(np.zeros(38)), None, 0,
-                                 RewardBreakdown.make(), 0.0)
+        # tune divides the rule reward by c_weight
+        with pytest.raises(ValueError, match="c_weight"):
+            RunConfig(c_weight=0.0).validate()
 
 
 class TestTargetSync:
