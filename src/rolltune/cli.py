@@ -153,20 +153,20 @@ def cmd_eval(args):
     greedy = cfg.sampling == "greedy"
     if kind == KIND_QNET:
         qnet = tuner.qnetwork_from_arrays(arrays, cfg.note_low, cfg.n_notes)
-        melodies = [tuner.rollout(qnet, cfg, rng, greedy=greedy)
-                    for _ in range(cfg.eval_songs)]
+        melodies = tuner.rollout(qnet, cfg, rng, greedy=greedy,
+                                 songs=cfg.eval_songs)
     elif kind == KIND_BIAXIAL:
         primed = model.params_from_arrays(arrays)
         if greedy:
             qnet = tuner.MelodyQNetwork.from_primed(primed, cfg.note_low,
                                                     cfg.n_notes)
-            melodies = [tuner.rollout(qnet, cfg, rng, greedy=True)
-                        for _ in range(cfg.eval_songs)]
+            melodies = tuner.rollout(qnet, cfg, rng, greedy=True,
+                                     songs=cfg.eval_songs)
         else:
             reward_model = tuner.RewardModel(primed, cfg.note_low,
                                              cfg.n_notes)
-            melodies = [tuner.sample_primed_melody(reward_model, cfg, rng)
-                        for _ in range(cfg.eval_songs)]
+            melodies = tuner.sample_primed_melody(reward_model, cfg, rng,
+                                                  songs=cfg.eval_songs)
     else:
         raise ValueError(f"checkpoint {args.ckpt} holds unknown model "
                          f"kind {kind!r}")

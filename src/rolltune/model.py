@@ -285,7 +285,8 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
     d_tw = _from_note_major(dxs[:, :, :hidden_top], b)
     d_tw = np.ascontiguousarray(
         d_tw.transpose(2, 0, 1, 3)).reshape(t, b * n, hidden_top)
-    grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw)
+    grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,
+                                     input_grad=False)
     for i, layer_grads in enumerate(grads_time):
         for fname, g in layer_grads.items():
             grads[f"timewise/{i}/{fname}"] = g

@@ -194,12 +194,13 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None):
     return stream, caches, finals
 
 
-def stack_backward(layers, caches, dstream):
+def stack_backward(layers, caches, dstream, input_grad=True):
     """Backpropagate through a stack_forward scan.
 
     dstream is the gradient w.r.t. the top stream (S, R, H_top).
     Returns (per-layer grad dicts, dxs) where dxs is the gradient
-    w.r.t. the original scan input. A layer's dict is keyed like
+    w.r.t. the original scan input, or None when input_grad is False
+    (its product is then skipped). A layer's dict is keyed like
     GATE_FIELDS and holds row-block views of one packed gradient block.
     """
     grads_out = [None] * len(layers)
@@ -235,6 +236,8 @@ def stack_backward(layers, caches, dstream):
         dw[:, :d] = flat_dz.T @ cache.inputs.reshape(s_len * rows, d)
         dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
+        if li == 0 and not input_grad:
+            return grads_out, None
         dstream = (flat_dz @ wx).reshape(s_len, rows, d)
     return grads_out, dstream
 

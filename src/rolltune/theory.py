@@ -14,6 +14,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,6 +38,10 @@ TONIC_CLOSING_STEPS = 16    # the last four beats
 
 AUTOCORR_SPAN = 16
 AUTOCORR_LAGS = (1, 2, 3)
+
+# TheoryConfig field annotation -> (accepted type, name in messages)
+NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"),
+                  "float": (numbers.Real, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,15 @@ class TheoryConfig:
     repeated_motif_reward: float = 4.0
 
     def __post_init__(self):
+        # Annotations are strings here (postponed evaluation).
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in NUMERIC_FIELDS:
+                kind, noun = NUMERIC_FIELDS[f.type]
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ValueError(f"{f.name} must be {noun}, got {v!r}")
+                if f.type == "float" and not np.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite")
         if not 0 <= self.key_root < 12:
             raise ValueError(f"key_root must be a pitch class, "
                              f"got {self.key_root}")
@@ -75,10 +89,6 @@ class TheoryConfig:
             raise ValueError("max_repeats must be at least 1")
         if self.episode_len < 1:
             raise ValueError("episode_len must be positive")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and not np.isfinite(v):
-                raise ValueError(f"{f.name} must be finite")
 
     @classmethod
     def from_run_config(cls, cfg) -> "TheoryConfig":

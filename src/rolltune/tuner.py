@@ -17,6 +17,16 @@ The reward model normalizes the scores into a log-distribution; the
 Q-network feeds the raw scores through a square head that starts as the
 identity, so its rankings initially match the primed model exactly.
 
+States travel in batches. A TrunkSnapshot holds B states: per layer the
+recurrent cells as (B * n_notes, hidden) arrays, the B columns about to
+be consumed, their measure positions, and the melody row sounding in
+each (SILENT for none). trunk_scores advances all B in one timewise step
+and one note-axis scan, with no Python loop over states. tune acts on
+B=1 snapshots and stacks sampled replay states into one batch; rollout
+and sample_primed_melody play their songs in lockstep, one trunk_scores
+call per step for every song in flight, at most SONGS_IN_FLIGHT songs at
+a time so a long eval stays bounded in memory.
+
 Replay stores, per transition, the trunk cells from collection time;
 updates re-run only the final step from those cells (they are treated
 as constants), so gradients reach every trunk weight without replaying
@@ -25,7 +35,7 @@ whole melodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +48,8 @@ from .theory import TheoryConfig, theory_reward
 
 N_MELODY_ROWS = MELODY_HIGH - MELODY_LOW + 1
 LN2 = float(np.log(2.0))
+SILENT = -1              # sounding row of a state with no melody note
+SONGS_IN_FLIGHT = 64     # lockstep songs scored per trunk_scores call
 
 
 def melody_rows(note_low: int, n_notes: int) -> slice:
@@ -50,38 +62,64 @@ def melody_rows(note_low: int, n_notes: int) -> slice:
     return slice(lo, lo + N_MELODY_ROWS)
 
 
-def next_sounding(action: int, sounding):
-    """Melody row sounding after an action; None means silence."""
-    if action >= 2:
-        return action - 2
-    if action == MELODY_NOTE_OFF:
-        return None
-    return sounding
+def next_sounding(actions, sounding) -> np.ndarray:
+    """Melody rows sounding after B actions taken where the rows
+    `sounding` were; SILENT means silence."""
+    actions = np.asarray(actions)
+    return np.where(actions >= 2, actions - 2,
+                    np.where(actions == MELODY_NOTE_OFF, SILENT, sounding))
 
 
-def action_column(action: int, sounding, note_low: int,
-                  n_notes: int) -> np.ndarray:
-    """Roll column (n_notes, 2) realized by an action."""
+def action_columns(actions, sounding, note_low: int,
+                   n_notes: int) -> np.ndarray:
+    """Roll columns (B, n_notes, 2) realized by B actions taken where
+    the melody rows `sounding` were."""
     rows = melody_rows(note_low, n_notes)
-    col = np.zeros((n_notes, 2))
-    if action >= 2:
-        col[rows.start + action - 2] = (1.0, 1.0)
-    elif action == MELODY_NO_EVENT and sounding is not None:
-        col[rows.start + sounding] = (1.0, 0.0)
-    return col
+    actions, sounding = np.asarray(actions), np.asarray(sounding)
+    cols = np.zeros((len(actions), n_notes, 2))
+    onset = np.flatnonzero(actions >= 2)
+    cols[onset, rows.start + actions[onset] - 2] = 1.0
+    held = np.flatnonzero((actions == MELODY_NO_EVENT) & (sounding != SILENT))
+    cols[held, rows.start + sounding[held], 0] = 1.0
+    return cols
 
 
 @dataclass
 class TrunkSnapshot:
-    """A state, materialized for replay: the recurrent cells before the
-    last column, that column with its measure position, and the melody
-    row left sounding after it. Advancing the cells through the column
-    reproduces the trunk output that scores this state's actions."""
+    """B states, materialized for scoring and replay: per state the
+    recurrent cells before its last column, that column with its measure
+    position, and the melody row left sounding after it. Advancing the
+    cells through the columns reproduces the trunk output that scores
+    each state's actions. State k owns rows k*N..(k+1)*N of the cells."""
 
-    cells: list              # per layer (h, c), each (n_notes, hidden)
-    col: np.ndarray          # (n_notes, 2)
-    pos: int
-    sounding: object         # melody row index or None
+    cells: list              # per layer (h, c), each (B * n_notes, hidden)
+    col: np.ndarray          # (B, n_notes, 2)
+    pos: np.ndarray          # (B,) measure positions
+    sounding: np.ndarray     # (B,) melody rows, SILENT for none
+
+    def __len__(self):
+        return self.col.shape[0]
+
+    @classmethod
+    def stack(cls, snapshots: list) -> "TrunkSnapshot":
+        """One batch holding the states of several snapshots, in order."""
+        if len(snapshots) == 1:
+            return snapshots[0]
+        cells = [tuple(np.concatenate([s.cells[li][j] for s in snapshots])
+                       for j in (0, 1))
+                 for li in range(len(snapshots[0].cells))]
+        return cls(cells, np.concatenate([s.col for s in snapshots]),
+                   np.concatenate([s.pos for s in snapshots]),
+                   np.concatenate([s.sounding for s in snapshots]))
+
+    def advance(self, cells: list, actions, step: int,
+                note_low: int) -> "TrunkSnapshot":
+        """The states after each takes its action at `step`, given the
+        cells trunk_scores advanced through this snapshot's columns."""
+        n_notes = self.col.shape[1]
+        return TrunkSnapshot(
+            cells, action_columns(actions, self.sounding, note_low, n_notes),
+            np.full(len(self), step), next_sounding(actions, self.sounding))
 
 
 @dataclass
@@ -128,34 +166,32 @@ class ReplayBuffer:
         return [self._items[i] for i in idx]
 
 
-def fresh_snapshot(trunk: BiaxialParams, n_notes: int) -> TrunkSnapshot:
-    """Episode-opening state: zero cells about to consume one silent
+def fresh_snapshot(trunk: BiaxialParams, n_notes: int,
+                   songs: int = 1) -> TrunkSnapshot:
+    """Episode-opening states: zero cells about to consume one silent
     column just before position 0, nothing sounding."""
-    cells = [(np.zeros((n_notes, lay.hidden_size)),
-              np.zeros((n_notes, lay.hidden_size)))
+    cells = [(np.zeros((songs * n_notes, lay.hidden_size)),
+              np.zeros((songs * n_notes, lay.hidden_size)))
              for lay in trunk.timewise]
-    return TrunkSnapshot(cells, np.zeros((n_notes, 2)), -1, None)
+    return TrunkSnapshot(cells, np.zeros((songs, n_notes, 2)),
+                         np.full(songs, -1), np.full(songs, SILENT))
 
 
-def trunk_scores(trunk: BiaxialParams, note_low: int, snapshots: list):
-    """Advance each snapshot one step and project 38 action scores.
+def trunk_scores(trunk: BiaxialParams, note_low: int,
+                 snapshot: TrunkSnapshot):
+    """Advance a snapshot's B states one step and project 38 action
+    scores for each.
 
     Returns (scores (B, 38), advanced cells per layer as (B*N, hidden)
     arrays, cache for trunk_scores_backward). The stored cells are
     inputs here, never differentiated through.
     """
-    b = len(snapshots)
-    n = snapshots[0].col.shape[0]
+    b, n = snapshot.col.shape[:2]
     rows = melody_rows(note_low, n)
-    cols = np.stack([s.col for s in snapshots])
-    positions = np.array([s.pos for s in snapshots])
-    feats = expand_columns(cols, note_low, positions)
+    feats = expand_columns(snapshot.col, note_low, snapshot.pos)
     xs = feats.reshape(1, b * n, -1)
-    init = [(np.concatenate([s.cells[li][0] for s in snapshots]),
-             np.concatenate([s.cells[li][1] for s in snapshots]))
-            for li in range(len(trunk.timewise))]
-    stream, t_caches, finals = nn.stack_forward(trunk.timewise, xs,
-                                                init_states=init)
+    stream, t_caches, finals = nn.stack_forward(
+        trunk.timewise, xs, init_states=snapshot.cells)
     top = stream[0].reshape(b, n, -1).transpose(1, 0, 2)    # (N, B, Ht)
     xs_note = np.concatenate([top, np.zeros((n, b, 2))], axis=2)
     stream_n, n_caches, _ = nn.stack_forward(trunk.notewise, xs_note)
@@ -167,38 +203,31 @@ def trunk_scores(trunk: BiaxialParams, note_low: int, snapshots: list):
     la = nn.log_sigmoid(mel[:, :, 1])
     lna = nn.log_sigmoid(-mel[:, :, 1])
     silent = lnp.sum(axis=0)
-    scores = np.zeros((b, MELODY_ACTIONS))
+    sounding = snapshot.sounding
+    held = sounding != SILENT
+    m, k = np.where(held, sounding, 0), np.arange(b)
+    scores = np.empty((b, MELODY_ACTIONS))
     scores[:, 2:] = (lp + la).T
-    for k, snap in enumerate(snapshots):
-        if snap.sounding is None:
-            scores[k, MELODY_NO_EVENT] = silent[k]
-            scores[k, MELODY_NOTE_OFF] = silent[k] - LN2
-        else:
-            m = snap.sounding
-            scores[k, MELODY_NO_EVENT] = lp[m, k] + lna[m, k]
-            scores[k, MELODY_NOTE_OFF] = silent[k]
-    soundings = [s.sounding for s in snapshots]
-    cache = (t_caches, n_caches, stream_n, logits, soundings, rows, b, n)
+    scores[:, MELODY_NO_EVENT] = np.where(held, lp[m, k] + lna[m, k], silent)
+    scores[:, MELODY_NOTE_OFF] = np.where(held, silent, silent - LN2)
+    cache = (t_caches, n_caches, stream_n, logits, sounding, rows, b, n)
     return scores, finals, cache
 
 
 def trunk_scores_backward(trunk: BiaxialParams, cache,
                           dscores: np.ndarray) -> dict:
     """Gradients of a scalar through trunk_scores, given d(scores)."""
-    t_caches, n_caches, stream_n, logits, soundings, rows, b, n = cache
+    t_caches, n_caches, stream_n, logits, sounding, rows, b, n = cache
     n_mel = rows.stop - rows.start
+    d_hold = dscores[:, MELODY_NO_EVENT]
+    held = np.flatnonzero(sounding != SILENT)
     dlp = np.ascontiguousarray(dscores[:, 2:].T)
     dla = dlp.copy()
-    dlnp = np.zeros((n_mel, b))
+    dlnp = np.tile(dscores[:, MELODY_NOTE_OFF]
+                   + np.where(sounding != SILENT, 0.0, d_hold), (n_mel, 1))
     dlna = np.zeros((n_mel, b))
-    for k, snd in enumerate(soundings):
-        if snd is None:
-            dlnp[:, k] += dscores[k, MELODY_NO_EVENT]
-            dlnp[:, k] += dscores[k, MELODY_NOTE_OFF]
-        else:
-            dlp[snd, k] += dscores[k, MELODY_NO_EVENT]
-            dlna[snd, k] += dscores[k, MELODY_NO_EVENT]
-            dlnp[:, k] += dscores[k, MELODY_NOTE_OFF]
+    dlp[sounding[held], held] += d_hold[held]
+    dlna[sounding[held], held] = d_hold[held]
     mel = logits[rows]
     sig_p = nn.sigmoid(mel[:, :, 0])
     sig_a = nn.sigmoid(mel[:, :, 1])
@@ -214,7 +243,8 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     ht = trunk.timewise[-1].hidden_size
     dtop = np.ascontiguousarray(
         dxs_note[:, :, :ht].transpose(1, 0, 2)).reshape(1, b * n, ht)
-    g_time, _ = nn.stack_backward(trunk.timewise, t_caches, dtop)
+    g_time, _ = nn.stack_backward(trunk.timewise, t_caches, dtop,
+                                  input_grad=False)
     for i, layer_grads in enumerate(g_time):
         for fname, g in layer_grads.items():
             grads[f"timewise/{i}/{fname}"] = g
@@ -222,11 +252,6 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
         for fname, g in layer_grads.items():
             grads[f"notewise/{i}/{fname}"] = g
     return grads
-
-
-def _split_cells(finals, sample: int, n: int) -> list:
-    return [(h[sample * n:(sample + 1) * n], c[sample * n:(sample + 1) * n])
-            for h, c in finals]
 
 
 @dataclass
@@ -237,16 +262,14 @@ class RewardModel:
     note_low: int
     n_notes: int
 
-    def start(self) -> TrunkSnapshot:
-        return fresh_snapshot(self.trunk, self.n_notes)
+    def start(self, songs: int = 1) -> TrunkSnapshot:
+        return fresh_snapshot(self.trunk, self.n_notes, songs)
 
     def log_dist(self, snapshot: TrunkSnapshot):
-        """Normalized log-probabilities over the 38 actions, plus the
-        advanced trunk cells for chaining the next snapshot."""
-        scores, finals, _ = trunk_scores(self.trunk, self.note_low,
-                                         [snapshot])
-        row = scores[0]
-        return row - nn.logsumexp(row), _split_cells(finals, 0, self.n_notes)
+        """(B, 38) normalized log-probabilities over the actions, plus
+        the advanced trunk cells for chaining the next snapshot."""
+        scores, finals, _ = trunk_scores(self.trunk, self.note_low, snapshot)
+        return scores - nn.logsumexp(scores, axis=1)[:, None], finals
 
 
 @dataclass
@@ -280,20 +303,21 @@ class MelodyQNetwork:
         out["head/b"] = self.head_b
         return out
 
-    def start(self) -> TrunkSnapshot:
-        return fresh_snapshot(self.trunk, self.n_notes)
+    def start(self, songs: int = 1) -> TrunkSnapshot:
+        return fresh_snapshot(self.trunk, self.n_notes, songs)
 
     def q_batch(self, snapshots: list):
-        """(B, 38) Q-values and the cache backward() consumes."""
+        """(B, 38) Q-values for the states of a list of snapshots, in
+        order, and the cache backward() consumes."""
         scores, finals, inner = trunk_scores(self.trunk, self.note_low,
-                                             snapshots)
+                                             TrunkSnapshot.stack(snapshots))
         q = scores @ self.head_w.T + self.head_b
         return q, (inner, scores, finals)
 
     def act(self, snapshot: TrunkSnapshot):
-        """Q-values for one state plus the advanced cells."""
+        """(B, 38) Q-values for a snapshot plus the advanced cells."""
         q, (_, _, finals) = self.q_batch([snapshot])
-        return q[0], _split_cells(finals, 0, self.n_notes)
+        return q, finals
 
     def backward(self, cache, dq: np.ndarray) -> dict:
         inner, scores, _ = cache
@@ -396,21 +420,32 @@ def epsilon_at(iteration: int, total_iterations: int, start: float,
 
 
 def choose_action(q_values, rng, exploration: str = "epsilon",
-                  epsilon: float = 0.0, temperature: float = 1.0) -> int:
-    """Pick an action from Q-values. Epsilon-greedy takes the argmax
-    (lowest index on ties) outside the epsilon branch; Boltzmann samples
-    proportionally to exp(Q / temperature)."""
+                  epsilon: float = 0.0, temperature: float = 1.0):
+    """Pick an action from a (38,) row of Q-values, or one per row of a
+    (B, 38) batch, returned as a (B,) array. Epsilon-greedy takes the
+    argmax (lowest index on ties) outside the epsilon branch; Boltzmann
+    samples proportionally to exp(Q / temperature) by inverting each
+    row's CDF at one rng.random(B) draw exactly as Generator.choice
+    does, so a one-row batch consumes and returns what the single-row
+    call does."""
     q_values = np.asarray(q_values, dtype=np.float64)
+    rows = np.atleast_2d(q_values)
     if exploration == "epsilon":
-        if epsilon > 0.0 and rng.random() < epsilon:
-            return int(rng.integers(len(q_values)))
-        return int(np.argmax(q_values))
-    if exploration == "boltzmann":
+        actions = np.argmax(rows, axis=1)
+        if epsilon > 0.0:
+            explore = np.flatnonzero(rng.random(len(rows)) < epsilon)
+            actions[explore] = rng.integers(rows.shape[1], size=len(explore))
+    elif exploration == "boltzmann":
         if temperature <= 0.0:
             raise ValueError("temperature must be positive")
-        return int(rng.choice(len(q_values),
-                              p=nn.softmax(q_values / temperature)))
-    raise ValueError(f"unknown exploration strategy {exploration!r}")
+        cdf = np.cumsum(nn.softmax(rows / temperature), axis=1)
+        if not np.all(np.isfinite(cdf)):
+            raise ValueError("Boltzmann probabilities are not finite")
+        cdf /= cdf[:, -1:]
+        actions = np.sum(cdf <= rng.random(len(rows))[:, None], axis=1)
+    else:
+        raise ValueError(f"unknown exploration strategy {exploration!r}")
+    return actions if q_values.ndim == 2 else int(actions[0])
 
 
 @dataclass
@@ -449,26 +484,24 @@ def tune(primed: BiaxialParams, cfg, rng):
     state = _episode_start(qnet, reward_model)
     trace = []
     for it in range(cfg.rl_iterations):
-        q_row, q_cells = qnet.act(state.q_snapshot)
+        q_rows, q_cells = qnet.act(state.q_snapshot)
         epsilon = epsilon_at(it, cfg.rl_iterations, cfg.epsilon_start,
                              cfg.epsilon_end)
-        action = choose_action(q_row, rng, exploration=cfg.exploration,
+        action = choose_action(q_rows[0], rng, exploration=cfg.exploration,
                                epsilon=epsilon,
                                temperature=cfg.temperature)
         log_dist, r_cells = reward_model.log_dist(state.r_snapshot)
+        log_p = float(log_dist[0, action])
         breakdown = theory_reward(state.history, action, theory_cfg)
-        reward = float(log_dist[action]) + breakdown.total / cfg.c_weight
+        reward = log_p + breakdown.total / cfg.c_weight
         terminal = state.step == cfg.episode_len - 1
 
-        col = action_column(action, state.q_snapshot.sounding,
-                            cfg.note_low, cfg.n_notes)
-        sounding = next_sounding(action, state.q_snapshot.sounding)
-        q_next = TrunkSnapshot(q_cells, col, state.step, sounding)
-        r_next = TrunkSnapshot(r_cells, col, state.step, sounding)
+        q_next = state.q_snapshot.advance(q_cells, [action], state.step,
+                                          cfg.note_low)
+        r_next = replace(q_next, cells=r_cells)
         buffer.append(Transition(state.q_snapshot, action, reward,
                                  q_next, terminal))
-        trace.append((it, reward, float(log_dist[action]),
-                      breakdown.total))
+        trace.append((it, reward, log_p, breakdown.total))
 
         if terminal:
             state = _episode_start(qnet, reward_model)
@@ -483,37 +516,43 @@ def tune(primed: BiaxialParams, cfg, rng):
     return qnet, trace
 
 
-def rollout(qnet: MelodyQNetwork, cfg, rng, greedy: bool = True) -> list:
-    """Play one episode from the tuned policy; greedy takes argmax Q,
-    otherwise actions are Boltzmann-sampled at cfg.temperature."""
-    snapshot = qnet.start()
-    actions = []
-    for step in range(cfg.episode_len):
-        q_row, cells = qnet.act(snapshot)
-        if greedy:
-            action = int(np.argmax(q_row))
-        else:
-            action = choose_action(q_row, rng, exploration="boltzmann",
-                                   temperature=cfg.temperature)
-        col = action_column(action, snapshot.sounding, cfg.note_low,
-                            cfg.n_notes)
-        snapshot = TrunkSnapshot(cells, col, step,
-                                 next_sounding(action, snapshot.sounding))
-        actions.append(action)
-    return actions
+def _play(model, score, cfg, rng, songs, explore: dict):
+    """The one lockstep step loop. Plays `songs` episodes (one when
+    None), SONGS_IN_FLIGHT at a time; each step makes one score(snapshot)
+    call, giving (B, 38) action scores and the advanced cells, and one
+    choose_action call over the batch with the `explore` settings.
+    Returns the melody, or the list of melodies when songs is given."""
+    count = 1 if songs is None else songs
+    if count < 1:
+        raise ValueError(f"songs must be positive, got {songs}")
+    melodies = []
+    for first in range(0, count, SONGS_IN_FLIGHT):
+        snapshot = model.start(min(SONGS_IN_FLIGHT, count - first))
+        actions = np.empty((len(snapshot), cfg.episode_len), dtype=np.int64)
+        for step in range(cfg.episode_len):
+            scores, cells = score(snapshot)
+            actions[:, step] = choose_action(scores, rng, **explore)
+            snapshot = snapshot.advance(cells, actions[:, step], step,
+                                        model.note_low)
+        melodies.extend(actions.tolist())
+    return melodies[0] if songs is None else melodies
 
 
-def sample_primed_melody(reward_model: RewardModel, cfg, rng) -> list:
-    """Draw one episode-length melody from the primed model's own
-    action distribution (categorical at each step)."""
-    snapshot = reward_model.start()
-    actions = []
-    for step in range(cfg.episode_len):
-        log_dist, cells = reward_model.log_dist(snapshot)
-        action = int(rng.choice(MELODY_ACTIONS, p=np.exp(log_dist)))
-        col = action_column(action, snapshot.sounding, cfg.note_low,
-                            cfg.n_notes)
-        snapshot = TrunkSnapshot(cells, col, step,
-                                 next_sounding(action, snapshot.sounding))
-        actions.append(action)
-    return actions
+def rollout(qnet: MelodyQNetwork, cfg, rng, greedy: bool = True,
+            songs: int | None = None):
+    """Play episodes from the tuned policy; greedy takes argmax Q,
+    otherwise actions are Boltzmann-sampled at cfg.temperature. Returns
+    one melody, or with songs=N a list of N melodies played in lockstep
+    (draws are step-major across the songs in flight)."""
+    explore = (dict(exploration="epsilon", epsilon=0.0) if greedy else
+               dict(exploration="boltzmann", temperature=cfg.temperature))
+    return _play(qnet, qnet.act, cfg, rng, songs, explore)
+
+
+def sample_primed_melody(reward_model: RewardModel, cfg, rng,
+                         songs: int | None = None):
+    """Draw episode-length melodies from the primed model's own action
+    distribution (categorical at each step). Returns one melody, or
+    with songs=N a list of N melodies played in lockstep."""
+    return _play(reward_model, reward_model.log_dist, cfg, rng, songs,
+                 dict(exploration="boltzmann", temperature=1.0))

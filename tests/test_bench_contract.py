@@ -1,13 +1,15 @@
 """The traced benchmark (bench/tracer.py) wraps rolltune functions and
 methods by name. Installing it here makes a refactor that drops or
-renames one of them fail this suite, not only a traced benchmark run."""
+renames one of them, or stops calling it, fail this suite, not only a
+traced benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from rolltune import nn
+from rolltune import model, nn, tuner
+from rolltune.config import RunConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -20,18 +22,47 @@ def load_tracer():
     return module
 
 
-def test_tracer_installs_and_uninstalls():
+def traced_calls(run):
+    """Call counts by span name while run() executes under the tracer."""
     tracer = load_tracer().Tracer()
-    originals = (nn.stack_step, nn.sigmoid, nn.LstmCellParams.packed)
     tracer.install()
     try:
+        run()
+    finally:
+        tracer.uninstall()
+    return {name: n for name, (n, _) in tracer.totals().items()}
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = (nn.stack_step, nn.sigmoid, nn.LstmCellParams.packed)
+
+    def run():
         cell = nn.LstmCellParams.fresh(3, 2, np.random.default_rng(0))
         zeros = np.zeros((1, 2))
         nn.stack_step([cell], np.zeros((1, 3)), [(zeros, zeros)])
-    finally:
-        tracer.uninstall()
+
+    calls = traced_calls(run)
     assert (nn.stack_step, nn.sigmoid, nn.LstmCellParams.packed) == originals
-    calls = {name: n for name, (n, _) in tracer.totals().items()}
     for name in ("nn.stack_step", "nn.stack_forward", "nn.sigmoid",
                  "nn.packed"):
         assert calls[name] == 1, name
+
+
+def test_lockstep_sampling_fires_the_sample_desk_spans():
+    cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
+                    notewise_hidden=[3], episode_len=3).validate()
+    primed = model.init_biaxial_params([3], [3], np.random.default_rng(0))
+    qnet = tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+    reward_model = tuner.RewardModel(primed, 48, 36)
+
+    def run():
+        rng = np.random.default_rng(1)
+        tuner.rollout(qnet, cfg, rng, greedy=False, songs=2)
+        tuner.sample_primed_melody(reward_model, cfg, rng, songs=2)
+
+    calls = traced_calls(run)
+    assert calls["tuner.rollout"] == 1
+    assert calls["tuner.sample_primed_melody"] == 1
+    # one scoring call and one pick per step for both songs at once
+    assert calls["tuner.trunk_scores"] == 2 * cfg.episode_len
+    assert calls["tuner.choose_action"] == 2 * cfg.episode_len

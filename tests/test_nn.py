@@ -194,6 +194,20 @@ class TestStackScan:
             numeric = nn.finite_difference_gradients(loss, params)
             assert nn.max_relative_error(grads_list[li], numeric) < 1e-5
 
+    def test_skipping_the_input_gradient_keeps_the_weight_gradients(self):
+        rng = np.random.default_rng(24)
+        layers = [random_cell(3, 4, rng), random_cell(4, 2, rng)]
+        xs = rng.normal(size=(3, 2, 3))
+        _, caches, _ = nn.stack_forward(layers, xs)
+        dstream = rng.normal(size=(3, 2, 2))
+        full, dxs = nn.stack_backward(layers, caches, dstream)
+        skipped, none = nn.stack_backward(layers, caches, dstream,
+                                          input_grad=False)
+        assert dxs.shape == xs.shape and none is None
+        for got, want in zip(skipped, full):
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
+
     def test_dropout_masks_apply_to_stream_only(self):
         rng = np.random.default_rng(23)
         layers = [random_cell(3, 4, rng)]

@@ -296,6 +296,19 @@ class TestConfig:
             RunConfig(autocorr_threshold=0).validate()
         with pytest.raises(ValueError, match="finite"):
             RunConfig(motif_reward=float("nan")).validate()
+        # wrong types fail validation instead of crashing the rules later
+        with pytest.raises(ValueError, match="key_penalty"):
+            RunConfig(key_penalty="x").validate()
+        with pytest.raises(ValueError, match="tonic_reward"):
+            RunConfig(tonic_reward=True).validate()
+        with pytest.raises(ValueError, match="max_repeats"):
+            RunConfig(max_repeats=2.5).validate()
+        with pytest.raises(ValueError, match="key_root"):
+            RunConfig(key_root=True).validate()
+        with pytest.raises(ValueError, match="episode_len"):
+            RunConfig(episode_len=32.0).validate()
+        # integers are real numbers
+        RunConfig(key_penalty=-2, autocorr_threshold=1).validate()
 
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,

@@ -33,25 +33,26 @@ def zero_params(timewise=(4,), notewise=(4,)):
 
 
 def random_snapshot(rng, params, note_low=48, n_notes=36):
-    """A state with warmed-up recurrent cells and a plausible column."""
+    """A one-state snapshot with warmed-up recurrent cells and a
+    plausible column."""
     cells = [(rng.normal(0.0, 0.5, (n_notes, lay.hidden_size)),
               rng.normal(0.0, 0.5, (n_notes, lay.hidden_size)))
              for lay in params.timewise]
-    prev = None if rng.random() < 0.3 else int(rng.integers(36))
-    action = int(rng.integers(MELODY_ACTIONS))
-    col = tuner.action_column(action, prev, note_low, n_notes)
-    sounding = tuner.next_sounding(action, prev)
-    return tuner.TrunkSnapshot(cells, col, int(rng.integers(32)), sounding)
+    prev = tuner.SILENT if rng.random() < 0.3 else int(rng.integers(36))
+    action = [int(rng.integers(MELODY_ACTIONS))]
+    col = tuner.action_columns(action, [prev], note_low, n_notes)
+    sounding = tuner.next_sounding(action, [prev])
+    return tuner.TrunkSnapshot(cells, col, np.array([rng.integers(32)]),
+                               sounding)
 
 
 def reference_scores(params, note_low, snap):
-    """Scalar re-implementation of trunk_scores for one snapshot: per-note
-    python loops through the recurrences, one row per nn.stack_step call,
-    then the projection formula in plain math calls. Returns (scores,
-    per-layer final (h, c) lists)."""
-    n = snap.col.shape[0]
-    feats = expand_columns(snap.col[None], note_low,
-                           np.array([snap.pos]))[0]
+    """Scalar re-implementation of trunk_scores for a one-state snapshot:
+    per-note python loops through the recurrences, one row per
+    nn.stack_step call, then the projection formula in plain math calls.
+    Returns (scores, per-layer final (h, c) lists)."""
+    n = snap.col.shape[1]
+    feats = expand_columns(snap.col, note_low, snap.pos)[0]
     tops = []
     finals = [([], []) for _ in params.timewise]
     for row in range(n):
@@ -79,11 +80,11 @@ def reference_scores(params, note_low, snap):
     for m in range(rows.stop - rows.start):
         r = rows.start + m
         scores[2 + m] = lsig(logits[r, 0]) + lsig(logits[r, 1])
-    if snap.sounding is None:
+    if snap.sounding[0] == tuner.SILENT:
         scores[MELODY_NO_EVENT] = silent
         scores[MELODY_NOTE_OFF] = silent - LN2
     else:
-        r0 = rows.start + snap.sounding
+        r0 = rows.start + snap.sounding[0]
         scores[MELODY_NO_EVENT] = lsig(logits[r0, 0]) + lsig(-logits[r0, 1])
         scores[MELODY_NOTE_OFF] = silent
     cells = [(np.stack(hs), np.stack(cs)) for hs, cs in finals]
@@ -107,36 +108,49 @@ class TestMelodyRows:
             tuner.melody_rows(21, 60)
 
 
+def column(action, sounding, note_low=48, n_notes=36):
+    """The roll column one action realizes, through the batched call."""
+    return tuner.action_columns([action], [sounding], note_low, n_notes)[0]
+
+
 class TestActionColumns:
 
     def test_onset_sets_play_and_articulate(self):
-        col = tuner.action_column(2, None, 48, 36)
+        col = column(2, tuner.SILENT)
         assert col[0, 0] == 1.0 and col[0, 1] == 1.0
         assert col.sum() == 2.0
-        top = tuner.action_column(37, None, 48, 36)
+        top = column(37, tuner.SILENT)
         assert top[35, 0] == 1.0 and top[35, 1] == 1.0
 
     def test_onset_respects_note_range_offset(self):
-        col = tuner.action_column(2, None, 21, 88)
+        col = column(2, tuner.SILENT, 21, 88)
         assert col[27, 0] == 1.0 and col[27, 1] == 1.0
 
     def test_hold_continues_the_sounding_note(self):
-        col = tuner.action_column(MELODY_NO_EVENT, 5, 48, 36)
+        col = column(MELODY_NO_EVENT, 5)
         assert col[5, 0] == 1.0 and col[5, 1] == 0.0
         assert col.sum() == 1.0
 
     def test_hold_in_silence_is_an_empty_column(self):
-        assert tuner.action_column(MELODY_NO_EVENT, None, 48, 36).sum() == 0
+        assert column(MELODY_NO_EVENT, tuner.SILENT).sum() == 0
 
     def test_note_off_silences_everything(self):
-        assert tuner.action_column(MELODY_NOTE_OFF, 7, 48, 36).sum() == 0
+        assert column(MELODY_NOTE_OFF, 7).sum() == 0
 
     def test_next_sounding_transitions(self):
-        assert tuner.next_sounding(2, None) == 0
-        assert tuner.next_sounding(37, 4) == 35
-        assert tuner.next_sounding(MELODY_NO_EVENT, 9) == 9
-        assert tuner.next_sounding(MELODY_NO_EVENT, None) is None
-        assert tuner.next_sounding(MELODY_NOTE_OFF, 9) is None
+        got = tuner.next_sounding(
+            [2, 37, MELODY_NO_EVENT, MELODY_NO_EVENT, MELODY_NOTE_OFF],
+            [tuner.SILENT, 4, 9, tuner.SILENT, 9])
+        assert got.tolist() == [0, 35, 9, tuner.SILENT, tuner.SILENT]
+
+    def test_batch_matches_one_action_at_a_time(self):
+        rng = np.random.default_rng(6)
+        actions = rng.integers(MELODY_ACTIONS, size=40)
+        sounding = rng.integers(-1, 36, size=40)
+        cols = tuner.action_columns(actions, sounding, 48, 36)
+        for k in range(40):
+            np.testing.assert_array_equal(
+                cols[k], column(actions[k], sounding[k]))
 
 
 class TestProjection:
@@ -147,26 +161,38 @@ class TestProjection:
         for _ in range(6):
             snap = random_snapshot(rng, params)
             expected, ref_cells = reference_scores(params, 48, snap)
-            scores, finals, _ = tuner.trunk_scores(params, 48, [snap])
+            scores, finals, _ = tuner.trunk_scores(params, 48, snap)
             np.testing.assert_allclose(scores[0], expected, atol=1e-12)
-            got_cells = tuner._split_cells(finals, 0, 36)
-            for (gh, gc), (rh, rc) in zip(got_cells, ref_cells):
+            for (gh, gc), (rh, rc) in zip(finals, ref_cells):
                 np.testing.assert_allclose(gh, rh, atol=1e-12)
                 np.testing.assert_allclose(gc, rc, atol=1e-12)
 
     def test_batch_agrees_with_single_calls(self):
         rng = np.random.default_rng(3)
         params = primed_params(rng)
-        snaps = [random_snapshot(rng, params) for _ in range(5)]
-        batched, _, _ = tuner.trunk_scores(params, 48, snaps)
+        snaps = [random_snapshot(rng, params) for _ in range(8)]
+        fresh = tuner.fresh_snapshot(params, 36)
+        held = random_snapshot(rng, params)
+        held.sounding = np.array([17])
+        snaps += [fresh, held]
+        silent = [s.sounding[0] == tuner.SILENT for s in snaps]
+        assert any(silent) and not all(silent)
+        batch = tuner.TrunkSnapshot.stack(snaps)
+        assert len(batch) == len(snaps)
+        batched, finals, _ = tuner.trunk_scores(params, 48, batch)
         for k, snap in enumerate(snaps):
-            single, _, _ = tuner.trunk_scores(params, 48, [snap])
+            single, cells, _ = tuner.trunk_scores(params, 48, snap)
             np.testing.assert_allclose(batched[k], single[0], atol=1e-12)
+            for (bh, bc), (sh, sc) in zip(finals, cells):
+                np.testing.assert_allclose(bh[k * 36:(k + 1) * 36], sh,
+                                           atol=1e-12)
+                np.testing.assert_allclose(bc[k * 36:(k + 1) * 36], sc,
+                                           atol=1e-12)
 
     def test_zero_model_pitch_scores_are_uniform(self):
         params = zero_params()
         snap = tuner.fresh_snapshot(params, 36)
-        scores, _, _ = tuner.trunk_scores(params, 48, [snap])
+        scores, _, _ = tuner.trunk_scores(params, 48, snap)
         np.testing.assert_array_equal(scores[0, 2:], -2.0 * LN2)
         np.testing.assert_allclose(scores[0, MELODY_NO_EVENT], -36.0 * LN2,
                                    rtol=1e-15)
@@ -175,8 +201,8 @@ class TestProjection:
     def test_zero_model_sounding_state_scores(self):
         params = zero_params()
         snap = tuner.fresh_snapshot(params, 36)
-        snap.sounding = 11
-        scores, _, _ = tuner.trunk_scores(params, 48, [snap])
+        snap.sounding = np.array([11])
+        scores, _, _ = tuner.trunk_scores(params, 48, snap)
         assert scores[0, MELODY_NO_EVENT] == -2.0 * LN2
         np.testing.assert_allclose(scores[0, MELODY_NOTE_OFF], -36.0 * LN2,
                                    rtol=1e-15)
@@ -195,9 +221,9 @@ class TestProjection:
         params = primed_params(rng)
         qnet = tuner.MelodyQNetwork.from_primed(params, 48, 36)
         snap = random_snapshot(rng, params)
-        scores, _, _ = tuner.trunk_scores(params, 48, [snap])
-        q_row, _ = qnet.act(snap)
-        np.testing.assert_array_equal(q_row, scores[0])
+        scores, _, _ = tuner.trunk_scores(params, 48, snap)
+        q_rows, _ = qnet.act(snap)
+        np.testing.assert_array_equal(q_rows, scores)
 
 
 class TestBlendedReward:
@@ -307,6 +333,42 @@ class TestChooseAction:
             counts[tuner.choose_action(q, rng, exploration="boltzmann",
                                        temperature=1.0)] += 1
         assert np.max(np.abs(counts / n - want)) < 0.02
+
+    def test_one_row_batch_matches_the_single_row_call(self):
+        q = np.random.default_rng(21).normal(0.0, 2.0, MELODY_ACTIONS)
+        for kwargs in (dict(exploration="boltzmann", temperature=0.7),
+                       dict(exploration="epsilon", epsilon=0.5),
+                       dict(exploration="epsilon", epsilon=0.0)):
+            single_rng = np.random.default_rng(3)
+            batch_rng = np.random.default_rng(3)
+            for _ in range(200):
+                single = tuner.choose_action(q, single_rng, **kwargs)
+                batch = tuner.choose_action(q[None], batch_rng, **kwargs)
+                assert batch.shape == (1,) and batch[0] == single
+            assert single_rng.random() == batch_rng.random()
+
+    def test_batch_inverts_each_rows_cdf(self):
+        q = np.random.default_rng(8).normal(0.0, 2.0, (5, MELODY_ACTIONS))
+        picked = tuner.choose_action(q, np.random.default_rng(4),
+                                     exploration="boltzmann",
+                                     temperature=2.0)
+        uniforms = np.random.default_rng(4).random(5)
+        for row, u, action in zip(q, uniforms, picked):
+            assert action == cdf_inverse(row / 2.0, u)
+
+    def test_zero_epsilon_batch_is_argmax_without_draws(self):
+        q = np.random.default_rng(1).normal(size=(6, MELODY_ACTIONS))
+        rng = np.random.default_rng(0)
+        picked = tuner.choose_action(q, rng, epsilon=0.0)
+        np.testing.assert_array_equal(picked, np.argmax(q, axis=1))
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_non_finite_boltzmann_rejected(self):
+        q = np.zeros((2, MELODY_ACTIONS))
+        q[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tuner.choose_action(q, np.random.default_rng(0),
+                                exploration="boltzmann")
 
     def test_invalid_strategy_and_temperature(self):
         rng = np.random.default_rng(0)
@@ -500,6 +562,15 @@ class TestQNetworkGradients:
         assert nn.max_relative_error(grads, numeric) < 1e-4
 
 
+def cdf_inverse(logits, u):
+    """The action Generator.choice draws from softmax(logits) at the
+    uniform u: cumulative sum, divided by its last entry, then a
+    right-sided search."""
+    cdf = np.cumsum(nn.softmax(logits))
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 def make_rl_config(**overrides):
     base = dict(note_low=48, n_notes=36, timewise_hidden=[6],
                 notewise_hidden=[5], rl_iterations=48, rl_batch_size=8,
@@ -607,3 +678,74 @@ class TestRollouts:
         b = tuner.sample_primed_melody(rm, cfg, np.random.default_rng(8))
         assert a == b
         assert len(a) == cfg.episode_len
+
+    def test_greedy_lockstep_repeats_the_single_song(self):
+        rng = np.random.default_rng(0)
+        primed = primed_params(rng)
+        cfg = make_rl_config()
+        qnet = tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+        single = tuner.rollout(qnet, cfg, np.random.default_rng(0))
+        many = tuner.rollout(qnet, cfg, np.random.default_rng(0), songs=4)
+        assert many == [single] * 4
+
+    @staticmethod
+    def _replay(start, score, melodies, uniforms, temperature):
+        """Replay each lockstep song on its own with B=1 scoring: every
+        action must be the CDF inverse of its step's uniform."""
+        assert uniforms.shape == (len(melodies[0]), len(melodies))
+        for song, song_uniforms in zip(melodies, uniforms.T):
+            snap = start()
+            for step, (action, u) in enumerate(zip(song, song_uniforms)):
+                scores, cells = score(snap)
+                assert action == cdf_inverse(scores[0] / temperature, u)
+                snap = snap.advance(cells, [action], step, 48)
+
+    def test_boltzmann_lockstep_replays_song_by_song(self):
+        rng = np.random.default_rng(0)
+        primed = primed_params(rng)
+        cfg = make_rl_config(temperature=0.7)
+        qnet = tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+        melodies = tuner.rollout(qnet, cfg, np.random.default_rng(5),
+                                 greedy=False, songs=3)
+        uniforms = np.random.default_rng(5).random((cfg.episode_len, 3))
+        self._replay(qnet.start, qnet.act, melodies, uniforms, 0.7)
+        single = tuner.rollout(qnet, cfg, np.random.default_rng(5),
+                               greedy=False)
+        # the single song is the B=1 case: its uniforms run down one column
+        assert single[0] == melodies[0][0]
+        self._replay(qnet.start, qnet.act, [single],
+                     np.random.default_rng(5).random((cfg.episode_len, 1)),
+                     0.7)
+
+    def test_primed_lockstep_replays_song_by_song(self):
+        rng = np.random.default_rng(0)
+        primed = primed_params(rng)
+        cfg = make_rl_config()
+        rm = tuner.RewardModel(primed, 48, 36)
+        melodies = tuner.sample_primed_melody(rm, cfg,
+                                              np.random.default_rng(8),
+                                              songs=4)
+        uniforms = np.random.default_rng(8).random((cfg.episode_len, 4))
+        self._replay(rm.start, rm.log_dist, melodies, uniforms, 1.0)
+
+    def test_more_songs_than_in_flight(self):
+        rng = np.random.default_rng(0)
+        primed = primed_params(rng, timewise=(3,), notewise=(3,))
+        cfg = make_rl_config(timewise_hidden=[3], notewise_hidden=[3],
+                             episode_len=4)
+        rm = tuner.RewardModel(primed, 48, 36)
+        songs = tuner.SONGS_IN_FLIGHT + 1
+        a = tuner.sample_primed_melody(rm, cfg, np.random.default_rng(2),
+                                       songs=songs)
+        b = tuner.sample_primed_melody(rm, cfg, np.random.default_rng(2),
+                                       songs=songs)
+        assert a == b
+        assert len(a) == songs
+        assert all(len(m) == cfg.episode_len for m in a)
+        assert all(0 <= act < MELODY_ACTIONS for m in a for act in m)
+
+    def test_songs_must_be_positive(self):
+        rng = np.random.default_rng(0)
+        qnet = tuner.MelodyQNetwork.from_primed(primed_params(rng), 48, 36)
+        with pytest.raises(ValueError, match="songs"):
+            tuner.rollout(qnet, make_rl_config(), rng, songs=0)
