@@ -22,7 +22,6 @@ import numpy as np
 
 from . import checkpoint, metrics, midiio, model, tuner
 from .config import RunConfig
-from .theory import TheoryConfig
 
 KIND_BIAXIAL = "biaxial"
 KIND_QNET = "qnet"
@@ -170,7 +169,7 @@ def cmd_eval(args):
     else:
         raise ValueError(f"checkpoint {args.ckpt} holds unknown model "
                          f"kind {kind!r}")
-    report = metrics.evaluate(melodies, TheoryConfig.from_run_config(cfg))
+    report = metrics.evaluate(melodies, cfg)
     checkpoint.write_atomic(args.out,
                             metrics.report_to_csv(report).encode("ascii"))
     table = metrics.report_table(report)

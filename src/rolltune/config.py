@@ -1,7 +1,9 @@
 """Flat run configuration shared by the CLI and the library entry points.
 
 Precedence: command-line flag > config-file key > built-in default.
-Config files are JSON objects whose keys match the field names below.
+Config files are JSON objects whose keys match the field names below and
+those RunConfig inherits from theory.TheoryConfig (key, episode length,
+rule rewards), so the rules and metrics take a RunConfig as it is.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .theory import TheoryConfig
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TheoryConfig):
     # global
     seed: int = 0
     tempo_bpm: float = 120.0
@@ -44,7 +46,6 @@ class RunConfig:
     c_weight: float = 0.5
     rl_batch_size: int = 32
     rl_iterations: int = 5000
-    episode_len: int = 32
     epsilon_start: float = 1.0
     epsilon_end: float = 0.1
     exploration: str = "epsilon"
@@ -52,29 +53,12 @@ class RunConfig:
     replay_capacity: int = 10000
     double_q: bool = False
 
-    # music-theory rules
-    key_root: int = 0
-    key_mode: str = "major"
-    key_penalty: float = -1.0
-    tonic_reward: float = 3.0
-    max_repeats: int = 4
-    repeat_penalty: float = -1.0
-    autocorr_penalty: float = -3.0
-    autocorr_threshold: float = 0.15
-    interval_reward: float = 0.5
-    clumsy_penalty: float = -1.0
-    leap_resolution_reward: float = 1.0
-    leap_continuation_penalty: float = -1.0
-    extreme_reward: float = 1.0
-    extreme_retouch_penalty: float = -1.0
-    motif_reward: float = 1.0
-    repeated_motif_reward: float = 4.0
-
     # evaluation
     eval_songs: int = 1000
     sampling: str = "boltzmann"
 
     def validate(self):
+        super().validate()    # numeric field types, the rules' ranges
         if self.n_notes < 1 or self.note_low < 0 \
                 or self.note_low + self.n_notes > 128:
             raise ValueError("note range must fit inside MIDI 0..127")
@@ -113,27 +97,20 @@ class RunConfig:
             raise ValueError("gen_steps and eval_songs must be positive")
         if self.sampling not in ("greedy", "boltzmann"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
-        # The theory rules check their own fields: key, mode, episode
-        # length, thresholds and a finite reward table.
-        TheoryConfig.from_run_config(self)
         return self
 
     def to_dict(self):
         return dataclasses.asdict(self)
 
     @classmethod
-    def field_names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
     def from_sources(cls, file_mapping=None, overrides=None):
         """Defaults, then config-file keys, then explicit overrides."""
-        values = {}
+        names, values = {f.name for f in dataclasses.fields(cls)}, {}
         for source in (file_mapping or {}, overrides or {}):
             for key, val in source.items():
                 if val is None:
                     continue
-                if key not in cls.field_names():
+                if key not in names:
                     raise ValueError(f"unknown configuration key {key!r}")
                 values[key] = val
         cfg = cls(**values)

@@ -10,6 +10,9 @@ axis (teacher forcing) while generation feeds back its own samples.
 All heavy passes batch their rows: the time scan runs batch*notes rows
 in parallel and the note scan batch*steps rows, so the per-step work is
 a handful of large matrix products.
+
+backward() is the one gradient path through both stacks, from d(logits)
+and the two passes' caches; training and the melody tuner share it.
 """
 
 from __future__ import annotations
@@ -275,25 +278,33 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
         else None,
         rng=rng, keep_masks=masks_n)
     value, loglik, dlogits = loss_with_gradient(logits, batch)
+    return value, loglik, backward(params, caches_t, caches_n, stream_n,
+                                   dlogits)
 
-    dlogits_r = _to_note_major(dlogits)
-    grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits_r, stream_n),
-             "proj/b": dlogits_r.sum(axis=(0, 1))}
-    dstream = dlogits_r @ params.proj_w
-    grads_note, dxs = nn.stack_backward(params.notewise, caches_n, dstream)
+
+def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
+             dlogits: np.ndarray) -> dict:
+    """Gradients keyed like param_arrays, given d(logits) (B, N, T, 2)
+    and the caches of a timewise and a notewise pass. The time scan's
+    input is the fixed features, so its gradient is skipped."""
+    b, n, t, _ = dlogits.shape
+    dlogits = _to_note_major(dlogits)
+    grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
+             "proj/b": dlogits.sum(axis=(0, 1))}
+    grads_note, dxs = nn.stack_backward(params.notewise, caches_n,
+                                        dlogits @ params.proj_w)
     hidden_top = params.timewise[-1].hidden_size
-    d_tw = _from_note_major(dxs[:, :, :hidden_top], b)
+    d_tw = dxs[:, :, :hidden_top].reshape(n, b, t, hidden_top)
     d_tw = np.ascontiguousarray(
-        d_tw.transpose(2, 0, 1, 3)).reshape(t, b * n, hidden_top)
+        d_tw.transpose(2, 1, 0, 3)).reshape(t, b * n, hidden_top)
     grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,
                                      input_grad=False)
-    for i, layer_grads in enumerate(grads_time):
-        for fname, g in layer_grads.items():
-            grads[f"timewise/{i}/{fname}"] = g
-    for i, layer_grads in enumerate(grads_note):
-        for fname, g in layer_grads.items():
-            grads[f"notewise/{i}/{fname}"] = g
-    return value, loglik, grads
+    for stack_name, stack_grads in (("timewise", grads_time),
+                                    ("notewise", grads_note)):
+        for i, layer_grads in enumerate(stack_grads):
+            for fname, g in layer_grads.items():
+                grads[f"{stack_name}/{i}/{fname}"] = g
+    return grads
 
 
 def sample_segments(corpus, segment_len, batch_size, steps_per_measure, rng):

@@ -39,14 +39,14 @@ TONIC_CLOSING_STEPS = 16    # the last four beats
 AUTOCORR_SPAN = 16
 AUTOCORR_LAGS = (1, 2, 3)
 
-# TheoryConfig field annotation -> (accepted type, name in messages)
+# config field annotation -> (accepted type, name in messages)
 NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"),
                   "float": (numbers.Real, "a real number")}
 
 
-@dataclass(frozen=True)
+@dataclass
 class TheoryConfig:
-    """Key, thresholds, and the per-rule reward table."""
+    """Key, thresholds, and the per-rule reward table; RunConfig extends it."""
 
     key_root: int = 0             # pitch class of the tonic, 0 = C
     key_mode: str = "major"
@@ -68,6 +68,11 @@ class TheoryConfig:
     repeated_motif_reward: float = 4.0
 
     def __post_init__(self):
+        TheoryConfig.validate(self)
+
+    def validate(self):
+        """Type-check every numeric field, a subclass's too, then the
+        ranges the rules need."""
         # Annotations are strings here (postponed evaluation).
         for f in fields(self):
             v = getattr(self, f.name)
@@ -89,6 +94,7 @@ class TheoryConfig:
             raise ValueError("max_repeats must be at least 1")
         if self.episode_len < 1:
             raise ValueError("episode_len must be positive")
+        return self
 
     @classmethod
     def from_run_config(cls, cfg) -> "TheoryConfig":

@@ -30,7 +30,8 @@ a time so a long eval stays bounded in memory.
 Replay stores, per transition, the trunk cells from collection time;
 updates re-run only the final step from those cells (they are treated
 as constants), so gradients reach every trunk weight without replaying
-whole melodies.
+whole melodies. Past the timewise step the trunk is the note model's
+own code: model.notewise_pass forward, model.backward from d(logits).
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from . import nn
 from .features import expand_columns
 from .midiio import (MELODY_ACTIONS, MELODY_HIGH, MELODY_LOW,
                      MELODY_NO_EVENT, MELODY_NOTE_OFF)
-from .model import BiaxialParams, param_arrays, params_from_arrays
-from .theory import TheoryConfig, theory_reward
+from .model import (BiaxialParams, backward, notewise_pass, param_arrays,
+                    params_from_arrays)
+from .theory import theory_reward
 
 N_MELODY_ROWS = MELODY_HIGH - MELODY_LOW + 1
 LN2 = float(np.log(2.0))
@@ -180,7 +182,8 @@ def fresh_snapshot(trunk: BiaxialParams, n_notes: int,
 def trunk_scores(trunk: BiaxialParams, note_low: int,
                  snapshot: TrunkSnapshot):
     """Advance a snapshot's B states one step and project 38 action
-    scores for each.
+    scores for each. The note axis is model.notewise_pass, teacher-forced
+    over one step, so its feedback pairs are all zeros.
 
     Returns (scores (B, 38), advanced cells per layer as (B*N, hidden)
     arrays, cache for trunk_scores_backward). The stored cells are
@@ -189,15 +192,14 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     b, n = snapshot.col.shape[:2]
     rows = melody_rows(note_low, n)
     feats = expand_columns(snapshot.col, note_low, snapshot.pos)
-    xs = feats.reshape(1, b * n, -1)
     stream, t_caches, finals = nn.stack_forward(
-        trunk.timewise, xs, init_states=snapshot.cells)
-    top = stream[0].reshape(b, n, -1).transpose(1, 0, 2)    # (N, B, Ht)
-    xs_note = np.concatenate([top, np.zeros((n, b, 2))], axis=2)
-    stream_n, n_caches, _ = nn.stack_forward(trunk.notewise, xs_note)
-    logits = stream_n @ trunk.proj_w.T + trunk.proj_b       # (N, B, 2)
-
-    mel = logits[rows]
+        trunk.timewise, feats.reshape(1, b * n, -1),
+        init_states=snapshot.cells)
+    logits, _, (n_caches, stream_n, _) = notewise_pass(
+        stream[0].reshape(b, n, 1, -1), trunk,
+        targets=np.zeros((b, n, 1, 2)))
+    # (M, B, 2) over the note-major buffer, so sums run along melody rows
+    mel = logits[:, rows, 0].transpose(1, 0, 2)
     lp = nn.log_sigmoid(mel[:, :, 0])
     lnp = nn.log_sigmoid(-mel[:, :, 0])
     la = nn.log_sigmoid(mel[:, :, 1])
@@ -210,15 +212,16 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     scores[:, 2:] = (lp + la).T
     scores[:, MELODY_NO_EVENT] = np.where(held, lp[m, k] + lna[m, k], silent)
     scores[:, MELODY_NOTE_OFF] = np.where(held, silent, silent - LN2)
-    cache = (t_caches, n_caches, stream_n, logits, sounding, rows, b, n)
+    cache = (t_caches, n_caches, stream_n, logits, sounding, rows)
     return scores, finals, cache
 
 
 def trunk_scores_backward(trunk: BiaxialParams, cache,
                           dscores: np.ndarray) -> dict:
-    """Gradients of a scalar through trunk_scores, given d(scores)."""
-    t_caches, n_caches, stream_n, logits, sounding, rows, b, n = cache
-    n_mel = rows.stop - rows.start
+    """Gradients of a scalar through trunk_scores, given d(scores):
+    d(logits) on the melody rows, then model.backward."""
+    t_caches, n_caches, stream_n, logits, sounding, rows = cache
+    b, n_mel = len(sounding), rows.stop - rows.start
     d_hold = dscores[:, MELODY_NO_EVENT]
     held = np.flatnonzero(sounding != SILENT)
     dlp = np.ascontiguousarray(dscores[:, 2:].T)
@@ -228,30 +231,14 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     dlna = np.zeros((n_mel, b))
     dlp[sounding[held], held] += d_hold[held]
     dlna[sounding[held], held] = d_hold[held]
-    mel = logits[rows]
+    mel = logits[:, rows, 0].transpose(1, 0, 2)
     sig_p = nn.sigmoid(mel[:, :, 0])
     sig_a = nn.sigmoid(mel[:, :, 1])
     dlogits = np.zeros_like(logits)
-    dlogits[rows, :, 0] = dlp * (1.0 - sig_p) - dlnp * sig_p
-    dlogits[rows, :, 1] = dla * (1.0 - sig_a) - dlna * sig_a
-
-    grads = {"proj/w": np.einsum("nbk,nbh->kh", dlogits, stream_n),
-             "proj/b": dlogits.sum(axis=(0, 1))}
-    dstream_n = dlogits @ trunk.proj_w
-    g_note, dxs_note = nn.stack_backward(trunk.notewise, n_caches,
-                                         dstream_n)
-    ht = trunk.timewise[-1].hidden_size
-    dtop = np.ascontiguousarray(
-        dxs_note[:, :, :ht].transpose(1, 0, 2)).reshape(1, b * n, ht)
-    g_time, _ = nn.stack_backward(trunk.timewise, t_caches, dtop,
-                                  input_grad=False)
-    for i, layer_grads in enumerate(g_time):
-        for fname, g in layer_grads.items():
-            grads[f"timewise/{i}/{fname}"] = g
-    for i, layer_grads in enumerate(g_note):
-        for fname, g in layer_grads.items():
-            grads[f"notewise/{i}/{fname}"] = g
-    return grads
+    dmel = dlogits[:, rows, 0].transpose(1, 0, 2)
+    dmel[:, :, 0] = dlp * (1.0 - sig_p) - dlnp * sig_p
+    dmel[:, :, 1] = dla * (1.0 - sig_a) - dlna * sig_a
+    return backward(trunk, t_caches, n_caches, stream_n, dlogits)
 
 
 @dataclass
@@ -448,21 +435,6 @@ def choose_action(q_values, rng, exploration: str = "epsilon",
     return actions if q_values.ndim == 2 else int(actions[0])
 
 
-@dataclass
-class RlState:
-    """Live episode bookkeeping between actions."""
-
-    step: int
-    prev_action: int
-    q_snapshot: TrunkSnapshot
-    r_snapshot: TrunkSnapshot
-    history: list
-
-
-def _episode_start(qnet: MelodyQNetwork, reward: RewardModel) -> RlState:
-    return RlState(0, MELODY_NO_EVENT, qnet.start(), reward.start(), [])
-
-
 def tune(primed: BiaxialParams, cfg, rng):
     """Refine the primed model's melody policy with Q-learning.
 
@@ -479,35 +451,34 @@ def tune(primed: BiaxialParams, cfg, rng):
     target = qnet.copy()
     optimizer = nn.Adadelta(rho=cfg.adadelta_rho, eps=cfg.adadelta_eps,
                             lr=cfg.learning_rate)
-    theory_cfg = TheoryConfig.from_run_config(cfg)
     buffer = ReplayBuffer(cfg.replay_capacity)
-    state = _episode_start(qnet, reward_model)
+    q_snapshot, r_snapshot, history = qnet.start(), reward_model.start(), []
     trace = []
     for it in range(cfg.rl_iterations):
-        q_rows, q_cells = qnet.act(state.q_snapshot)
+        q_rows, q_cells = qnet.act(q_snapshot)
         epsilon = epsilon_at(it, cfg.rl_iterations, cfg.epsilon_start,
                              cfg.epsilon_end)
         action = choose_action(q_rows[0], rng, exploration=cfg.exploration,
                                epsilon=epsilon,
                                temperature=cfg.temperature)
-        log_dist, r_cells = reward_model.log_dist(state.r_snapshot)
+        log_dist, r_cells = reward_model.log_dist(r_snapshot)
         log_p = float(log_dist[0, action])
-        breakdown = theory_reward(state.history, action, theory_cfg)
+        breakdown = theory_reward(history, action, cfg)
         reward = log_p + breakdown.total / cfg.c_weight
-        terminal = state.step == cfg.episode_len - 1
+        terminal = len(history) == cfg.episode_len - 1
 
-        q_next = state.q_snapshot.advance(q_cells, [action], state.step,
-                                          cfg.note_low)
-        r_next = replace(q_next, cells=r_cells)
-        buffer.append(Transition(state.q_snapshot, action, reward,
-                                 q_next, terminal))
+        q_next = q_snapshot.advance(q_cells, [action], len(history),
+                                    cfg.note_low)
+        buffer.append(Transition(q_snapshot, action, reward, q_next,
+                                 terminal))
         trace.append((it, reward, log_p, breakdown.total))
 
         if terminal:
-            state = _episode_start(qnet, reward_model)
+            q_snapshot, r_snapshot, history = (qnet.start(),
+                                               reward_model.start(), [])
         else:
-            state = RlState(state.step + 1, action, q_next, r_next,
-                            state.history + [action])
+            q_snapshot, r_snapshot = q_next, replace(q_next, cells=r_cells)
+            history.append(action)
 
         if len(buffer) >= cfg.rl_batch_size:
             q_update(buffer.sample(cfg.rl_batch_size, rng), qnet, target,

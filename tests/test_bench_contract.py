@@ -66,3 +66,27 @@ def test_lockstep_sampling_fires_the_sample_desk_spans():
     # one scoring call and one pick per step for both songs at once
     assert calls["tuner.trunk_scores"] == 2 * cfg.episode_len
     assert calls["tuner.choose_action"] == 2 * cfg.episode_len
+
+
+def test_tune_fires_the_tune_desk_spans():
+    cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
+                    notewise_hidden=[3], episode_len=3, rl_iterations=5,
+                    rl_batch_size=2).validate()
+    primed = model.init_biaxial_params([3], [3], np.random.default_rng(0))
+
+    calls = traced_calls(
+        lambda: tuner.tune(primed, cfg, np.random.default_rng(1)))
+    updates = cfg.rl_iterations - cfg.rl_batch_size + 1
+    assert calls["tuner.tune"] == 1
+    assert calls["tuner.ReplayBuffer.append"] == cfg.rl_iterations
+    assert calls["theory.theory_reward"] == cfg.rl_iterations
+    for name in ("tuner.ReplayBuffer.sample", "tuner.q_targets",
+                 "tuner.q_update", "tuner.target_sync",
+                 "tuner.trunk_scores_backward"):
+        assert calls[name] == updates, name
+    # acting and the reward read score one state per iteration; each
+    # update scores the target bootstrap and the online batch
+    assert calls["tuner.trunk_scores"] == 2 * cfg.rl_iterations + 2 * updates
+    # the note axis runs through the model's own pass and backward
+    assert calls["model.notewise_pass"] == calls["tuner.trunk_scores"]
+    assert calls["nn.stack_backward"] == 2 * updates

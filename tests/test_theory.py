@@ -307,6 +307,20 @@ class TestConfig:
             RunConfig(key_root=True).validate()
         with pytest.raises(ValueError, match="episode_len"):
             RunConfig(episode_len=32.0).validate()
+        # every numeric run field is type-checked, not only the rules'
+        with pytest.raises(ValueError, match="rl_batch_size"):
+            RunConfig(rl_batch_size=2.5).validate()
+        with pytest.raises(ValueError, match="eval_songs"):
+            RunConfig(eval_songs=2.5).validate()
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=True).validate()
+        with pytest.raises(ValueError, match="gamma"):
+            RunConfig(gamma="0.5").validate()
+        # validate() checks types itself, not only at construction
+        cfg = RunConfig()
+        cfg.rl_batch_size = 2.5
+        with pytest.raises(ValueError, match="rl_batch_size"):
+            cfg.validate()
         # integers are real numbers
         RunConfig(key_penalty=-2, autocorr_threshold=1).validate()
 

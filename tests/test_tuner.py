@@ -13,6 +13,7 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_columns
 from rolltune.midiio import (MELODY_ACTIONS, MELODY_NO_EVENT,
                              MELODY_NOTE_OFF)
+from rolltune.theory import theory_reward
 
 LN2 = math.log(2.0)
 
@@ -644,6 +645,40 @@ class TestTune:
         cfg = make_rl_config(rl_iterations=12, rl_batch_size=4)
         qnet, _ = tuner.tune(primed, cfg, np.random.default_rng(5))
         assert not np.array_equal(qnet.head_w, np.eye(MELODY_ACTIONS))
+
+
+    def test_episodes_chain_and_restart_at_their_boundaries(
+            self, monkeypatch):
+        appended = []
+        append = tuner.ReplayBuffer.append
+
+        def record(buffer, transition):
+            appended.append(transition)
+            append(buffer, transition)
+
+        monkeypatch.setattr(tuner.ReplayBuffer, "append", record)
+        primed = primed_params(np.random.default_rng(0))
+        cfg = make_rl_config(rl_iterations=20, episode_len=8)
+        _, trace = tuner.tune(primed, cfg, np.random.default_rng(6))
+        assert len(appended) == len(trace) == cfg.rl_iterations
+        history = []
+        for k, (transition, row) in enumerate(zip(appended, trace)):
+            step = k % cfg.episode_len
+            assert transition.terminal == (step == cfg.episode_len - 1)
+            state = transition.state
+            if step == 0:
+                history = []
+                for h, c in state.cells:
+                    assert not h.any() and not c.any()
+                assert not state.col.any()
+                assert state.pos.tolist() == [-1]
+                assert state.sounding.tolist() == [tuner.SILENT]
+            else:
+                assert state is appended[k - 1].next_state
+            assert transition.next_state.pos.tolist() == [step]
+            assert row[3] == theory_reward(history, transition.action,
+                                           cfg).total
+            history.append(transition.action)
 
 
 class TestRollouts:
