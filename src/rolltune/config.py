@@ -9,6 +9,7 @@ rule rewards), so the rules and metrics take a RunConfig as it is.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 from .theory import TheoryConfig
@@ -64,10 +65,15 @@ class RunConfig(TheoryConfig):
             raise ValueError("note range must fit inside MIDI 0..127")
         if self.steps_per_measure < 1:
             raise ValueError("steps_per_measure must be >= 1")
-        if not self.timewise_hidden or not self.notewise_hidden:
-            raise ValueError("hidden size lists cannot be empty")
-        if any(h < 1 for h in self.timewise_hidden + self.notewise_hidden):
-            raise ValueError("hidden sizes must be positive")
+        for name in ("timewise_hidden", "notewise_hidden"):
+            sizes = getattr(self, name)
+            if not isinstance(sizes, list) or not sizes:
+                raise ValueError(f"{name} must be a non-empty list")
+            if any(isinstance(h, bool) or not isinstance(h, numbers.Integral)
+                   for h in sizes):
+                raise ValueError(f"{name} must hold integers, got {sizes!r}")
+            if any(h < 1 for h in sizes):
+                raise ValueError("hidden sizes must be positive")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if self.segment_len < 2:
@@ -113,7 +119,4 @@ class RunConfig(TheoryConfig):
                 if key not in names:
                     raise ValueError(f"unknown configuration key {key!r}")
                 values[key] = val
-        cfg = cls(**values)
-        for name in ("timewise_hidden", "notewise_hidden"):
-            setattr(cfg, name, [int(h) for h in getattr(cfg, name)])
-        return cfg.validate()
+        return cls(**values).validate()

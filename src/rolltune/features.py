@@ -20,6 +20,7 @@ single columns on the fly.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .midiio import NoteStateMatrix
 
@@ -43,23 +44,21 @@ def expand_columns(columns: np.ndarray, note_low: int,
     out = np.zeros((r, n, FEATURE_WIDTH))
     midi = note_low + np.arange(n)
     out[:, :, 0] = midi / 128.0
-    pitch_class = midi % 12
-    out[:, np.arange(n), 1 + pitch_class] = 1.0
+    pitch_class = np.eye(12)[midi % 12]                  # (N, 12) one-hot
+    out[:, :, 1:13] = pitch_class
 
+    # Row j's vicinity is the 50 values of the padded, flattened column
+    # starting at pair j, so it is one window of a sliding view.
     padded = np.zeros((r, n + 2 * VICINITY_RADIUS, 2))
     padded[:, VICINITY_RADIUS:VICINITY_RADIUS + n] = columns
-    for k in range(_VICINITY):
-        out[:, :, 13 + 2 * k] = padded[:, k:k + n, 0]
-        out[:, :, 14 + 2 * k] = padded[:, k:k + n, 1]
+    out[:, :, 13:63] = sliding_window_view(
+        padded.reshape(r, -1), 2 * _VICINITY, axis=1)[:, ::2]
 
-    counts = np.zeros((r, 12))
-    for pc in range(12):
-        counts[:, pc] = columns[:, pitch_class == pc, 0].sum(axis=1)
-    out[:, :, 63:75] = counts[:, None, :]
+    # Summing 0/1 play bits is exact in any order.
+    out[:, :, 63:75] = (columns[:, :, 0] @ pitch_class)[:, None, :]
 
     beat = np.mod(np.asarray(positions, dtype=np.int64), _BEAT_PERIOD)
-    for bit in range(4):
-        out[:, :, 75 + bit] = ((beat >> bit) & 1)[:, None]
+    out[:, :, 75:79] = ((beat[:, None] >> np.arange(4)) & 1)[:, None, :]
     return out
 
 

@@ -16,7 +16,13 @@ Conventions:
     h_prev) and one bias b (4H,), gates in the order input, forget,
     output, candidate; the per-gate names (w_i, ..., b_c) are row-block
     views of them, so checkpoints, optimizer state and target syncs
-    address the memory the kernel reads.
+    address the memory the kernel reads,
+  * the scan's elementwise work is gate-major: each step copies its
+    (R, 4H) pre-activation block into one (4, R, H) scratch, so the
+    sigmoid over i, f and o, the candidate tanh and the c/h updates run
+    on contiguous (R, H) slabs. The activated gates are stored back in
+    that step's own memory of the layer cache, read as (4, R, H); the
+    matrix products keep their row-major (R, 4H) operands.
 """
 
 from __future__ import annotations
@@ -30,15 +36,21 @@ GATES = ("i", "f", "o", "c")
 GATE_FIELDS = tuple(f"w_{g}" for g in GATES) + tuple(f"b_{g}" for g in GATES)
 
 
-def sigmoid(x):
-    """Logistic function in its tanh form, stable for any input."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x, out=None):
+    """Logistic function of an array in its tanh form, stable for any
+    input: 0.5 * (1 + tanh(x / 2)). With out, the result is written
+    there and returned."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def log_sigmoid(x):
     """log(sigmoid(x)) without overflow for large negative inputs."""
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                    x - np.log1p(np.exp(-np.abs(x))))
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -tail, x - tail)
 
 
 def logsumexp(x, axis=None):
@@ -144,7 +156,8 @@ def stack_step(layers, x, states, keep_masks=None):
 @dataclass
 class _LayerCache:
     inputs: np.ndarray      # (S, R, D) stream entering the layer
-    gates: np.ndarray       # (S, R, 4H) activated gates i, f, o, g
+    gates: np.ndarray       # (S, R, 4H) memory; step s holds its activated
+                            # gates gate-major, read as (4, R, H): i, f, o, g
     c: np.ndarray           # (S, R, H)
     h: np.ndarray           # (S, R, H)
     h0: np.ndarray          # (R, H) state before the first step
@@ -158,10 +171,16 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None):
     xs has shape (S, R, D): S steps of R parallel rows. init_states, a
     list of (h, c) pairs of shape (R, H), is read and never written.
     Returns the top stream (S, R, H_top), a cache for stack_backward,
-    and the final (h, c) list. Inputs are projected in one matrix
-    product per layer; each step adds the recurrent product, activates
-    the gates in place (one sigmoid call for i, f and o), then sets
-    c = f * c_prev + i * tanh(candidate) and h = o * tanh(c).
+    and the final (h, c) list, which are views of the cache's last step.
+
+    Inputs are projected in one matrix product per layer into a
+    row-major (S, R, 4H) gates buffer. Each step adds the recurrent
+    product h_prev @ wh.T to its (R, 4H) block and copies the result
+    into a (4, R, H) gate-major scratch. One sigmoid call activates i, f
+    and o and one tanh the candidate g, writing into the step's own
+    block read as (4, R, H), which is what the cache keeps. Then
+    c = f * c_prev + i * g and h = o * tanh(c) are written straight
+    into the cached c and h.
     """
     s_len, rows, _ = xs.shape
     caches, finals = [], []
@@ -177,16 +196,25 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None):
         gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
             s_len, rows, 4 * hs)
         gates += b
+        # the same memory twice: step s's pre-activations seen gate-major,
+        # and its block reinterpreted as (4, R, H) to hold the activations
+        pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
+        acts = gates.reshape(s_len, 4, rows, hs)
         c_all = np.empty((s_len, rows, hs))
         h_all = np.empty_like(c_all)
+        z = np.empty((4, rows, hs))
+        z_sig, z_cand = z[:3], z[3]
+        wh_t = wh.T
         for s in range(s_len):
-            z = gates[s]
-            z += h @ wh.T
-            z[:, :3 * hs] = sigmoid(z[:, :3 * hs])
-            np.tanh(z[:, 3 * hs:], out=z[:, 3 * hs:])
-            c = z[:, hs:2 * hs] * c + z[:, :hs] * z[:, 3 * hs:]
-            h = z[:, 2 * hs:3 * hs] * np.tanh(c)
-            c_all[s], h_all[s] = c, h
+            gates[s] += h @ wh_t
+            z[...] = pre[s]
+            i, f, o, g = act = acts[s]
+            sigmoid(z_sig, out=act[:3])
+            np.tanh(z_cand, out=g)
+            c = np.multiply(f, c, out=c_all[s])
+            c += np.multiply(i, g, out=z_cand)   # tanh above consumed z_cand
+            h = np.tanh(c, out=h_all[s])
+            h *= o
         mask = None if keep_masks is None else keep_masks[li]
         caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
         finals.append((h, c))
@@ -211,26 +239,8 @@ def stack_backward(layers, caches, dstream, input_grad=True):
         s_len, rows, _ = cache.h.shape
         if cache.mask is not None:
             dstream = dstream * cache.mask
-        dh_carry = dc_carry = np.zeros((rows, hs))
-        dz_all = np.empty((s_len, rows, 4 * hs))
-        for s in range(s_len - 1, -1, -1):
-            act = cache.gates[s]
-            sig = act[:, :3 * hs]
-            i, f, o, g = (act[:, k * hs:(k + 1) * hs] for k in range(4))
-            c_prev = cache.c[s - 1] if s > 0 else cache.c0
-            dh = dstream[s] + dh_carry
-            tc = np.tanh(cache.c[s])
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            dz = dz_all[s]
-            dz[:, :hs] = dc * g
-            dz[:, hs:2 * hs] = dc * c_prev
-            dz[:, 2 * hs:3 * hs] = dh * tc
-            dz[:, :3 * hs] *= sig
-            dz[:, :3 * hs] *= 1.0 - sig
-            dz[:, 3 * hs:] = dc * i * (1.0 - g * g)
-            dc_carry = dc * f
-            dh_carry = dz @ wh
-        flat_dz = dz_all.reshape(s_len * rows, 4 * hs)
+        flat_dz = _gate_gradients(cache, wh, dstream).reshape(
+            s_len * rows, 4 * hs)
         h_prev = np.concatenate([cache.h0[None], cache.h[:-1]], axis=0)
         dw = np.empty_like(layer.w)
         dw[:, :d] = flat_dz.T @ cache.inputs.reshape(s_len * rows, d)
@@ -240,6 +250,59 @@ def stack_backward(layers, caches, dstream, input_grad=True):
             return grads_out, None
         dstream = (flat_dz @ wx).reshape(s_len, rows, d)
     return grads_out, dstream
+
+
+def _gate_gradients(cache, wh, dstream):
+    """Gradient (S, R, 4H) w.r.t. one layer's pre-activations, row-major
+    like the gates stack_forward projected, given the gradient w.r.t.
+    the layer's output stream (S, R, H).
+
+    Each step reads the cached gates as contiguous (4, R, H) slabs and
+    builds the i/f/o derivatives in one (3, R, H) scratch. Every product
+    is formed in place but equals the plain expression in the comment
+    above it bit for bit (float products and sums do not depend on
+    operand order, and adding the scalar 0.0 carry of the last step
+    equals adding a zero array), so a step allocates at most four
+    (R, H) arrays. That matters at 1,152 rows (a 32-state tuner
+    update): once the memory an update frees at the top of the heap
+    passes glibc's trim threshold, the heap is trimmed and faulted in
+    again on every update, which cost up to a fifth of tune throughput
+    in the processes where it happened.
+    """
+    s_len, rows, hs = cache.h.shape
+    acts = cache.gates.reshape(s_len, 4, rows, hs)
+    dz_all = np.empty((s_len, rows, 4 * hs))
+    d_sig = np.empty((3, rows, hs))
+    dz_ifo = dz_all.reshape(s_len, rows, 4, hs)[:, :, :3].transpose(
+        0, 2, 1, 3)
+    dz_cand = dz_all[:, :, 3 * hs:]
+    dh_carry = dc_carry = 0.0
+    for s in range(s_len - 1, -1, -1):
+        i, f, o, g = act = acts[s]
+        sig = act[:3]
+        c_prev = cache.c[s - 1] if s > 0 else cache.c0
+        dh = dstream[s] + dh_carry
+        tc = np.tanh(cache.c[s])
+        # dc = dc_carry + dh * o * (1 - tc * tc)
+        dc = np.multiply(tc, tc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= np.multiply(dh, o, out=d_sig[0])
+        dc += dc_carry
+        # dz_ifo = (dc * g, dc * c_prev, dh * tc) * sig * (1 - sig)
+        np.multiply(dc, g, out=d_sig[0])
+        np.multiply(dc, c_prev, out=d_sig[1])
+        np.multiply(dh, tc, out=d_sig[2])
+        d_sig *= sig
+        d_ifo = np.subtract(1.0, sig, out=dz_ifo[s])
+        d_ifo *= d_sig
+        # dz_cand = dc * i * (1 - g * g)
+        d_g = np.multiply(g, g, out=d_sig[1])
+        np.subtract(1.0, d_g, out=d_g)
+        np.multiply(np.multiply(dc, i, out=d_sig[0]), d_g, out=dz_cand[s])
+        if s:   # step 0 passes nothing further back
+            dc_carry = np.multiply(dc, f, out=dc)
+            dh_carry = dz_all[s] @ wh
+    return dz_all
 
 
 def dropout_mask(shape, keep_prob, rng, training=True):
@@ -300,7 +363,14 @@ class Adadelta:
     states: dict = field(default_factory=dict)
 
     def step(self, params: dict, grads: dict):
-        """Apply one update to every named array present in grads."""
+        """Apply one update to every named array present in grads. A
+        non-finite entry in any gradient rejects the whole step before
+        any parameter or state is touched."""
+        for name, grad in grads.items():
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteGradientError(
+                    f"gradient {name} contains NaN or infinite entries; "
+                    "step rejected")
         for name, grad in grads.items():
             param = params[name]
             if name not in self.states:

@@ -39,9 +39,11 @@ TONIC_CLOSING_STEPS = 16    # the last four beats
 AUTOCORR_SPAN = 16
 AUTOCORR_LAGS = (1, 2, 3)
 
-# config field annotation -> (accepted type, name in messages)
-NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"),
-                  "float": (numbers.Real, "a real number")}
+# config field annotation -> (accepted type, name in messages); a bool
+# passes only where the annotation is bool
+TYPED_FIELDS = {"int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a real number"),
+                "bool": (bool, "a boolean")}
 
 
 @dataclass
@@ -71,14 +73,15 @@ class TheoryConfig:
         TheoryConfig.validate(self)
 
     def validate(self):
-        """Type-check every numeric field, a subclass's too, then the
-        ranges the rules need."""
+        """Type-check every numeric and boolean field, a subclass's too,
+        then the ranges the rules need."""
         # Annotations are strings here (postponed evaluation).
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type in NUMERIC_FIELDS:
-                kind, noun = NUMERIC_FIELDS[f.type]
-                if isinstance(v, bool) or not isinstance(v, kind):
+            if f.type in TYPED_FIELDS:
+                kind, noun = TYPED_FIELDS[f.type]
+                if isinstance(v, bool) != (f.type == "bool") \
+                        or not isinstance(v, kind):
                     raise ValueError(f"{f.name} must be {noun}, got {v!r}")
                 if f.type == "float" and not np.isfinite(v):
                     raise ValueError(f"{f.name} must be finite")

@@ -3,15 +3,20 @@ methods by name. Installing it here makes a refactor that drops or
 renames one of them, or stops calling it, fail this suite, not only a
 traced benchmark run."""
 
+import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from rolltune import model, nn, tuner
+import helpers
+from rolltune import cli, model, nn, tuner
 from rolltune.config import RunConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -20,6 +25,19 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def expected_spans(workload):
+    """The expected_spans tuple of a workload class in bench/harness.py,
+    read from its source so the harness's imports do not run."""
+    tree = ast.parse((BENCH / "harness.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == workload:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and \
+                        stmt.targets[0].id == "expected_spans":
+                    return ast.literal_eval(stmt.value)
+    raise LookupError(f"{workload}.expected_spans not found")
 
 
 def traced_calls(run):
@@ -90,3 +108,43 @@ def test_tune_fires_the_tune_desk_spans():
     # the note axis runs through the model's own pass and backward
     assert calls["model.notewise_pass"] == calls["tuner.trunk_scores"]
     assert calls["nn.stack_backward"] == 2 * updates
+
+
+def test_training_fires_the_train_desk_spans(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    helpers.write_corpus(corpus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "note_low": 48, "n_notes": 36, "timewise_hidden": [4],
+        "notewise_hidden": [3], "segment_len": 8, "batch_size": 2}))
+    argv = ["train", "--data", str(corpus), "--config", str(cfg),
+            "--iters", "1", "--seed", "3", "--out",
+            str(tmp_path / "model.ckpt")]
+
+    calls = traced_calls(lambda: cli.main(argv))
+    assert calls["model.train"] == 1
+    spans = expected_spans("TrainDesk")
+    assert spans
+    for name in spans:
+        assert calls.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("hidden", [[3], [4, 3]])
+def test_scan_makes_one_sigmoid_call_per_step_and_layer(hidden):
+    rng = np.random.default_rng(2)
+    layers, size = [], 5
+    for hs in hidden:
+        layers.append(nn.LstmCellParams.fresh(size, hs, rng))
+        size = hs
+    s_len = 6
+    xs = rng.normal(size=(s_len, 3, 5))
+
+    def run():
+        stream, caches, _ = nn.stack_forward(layers, xs)
+        nn.stack_backward(layers, caches, np.ones_like(stream))
+
+    calls = traced_calls(run)
+    assert calls["nn.sigmoid"] == s_len * len(hidden)
+    # each pass reads every layer's weights through packed()
+    assert calls["nn.packed"] == 2 * len(hidden)

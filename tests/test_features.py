@@ -1,41 +1,48 @@
 """Input-feature expansion checked against a brute-force re-derivation."""
 
 import numpy as np
+import pytest
 
 import helpers
 from rolltune import features
 from rolltune.midiio import NoteStateMatrix
 
 
-def brute_force_expand(matrix):
-    """Independent double-loop oracle for the 80-wide expansion."""
-    n, t_len = matrix.n_notes, matrix.n_steps
-    out = np.zeros((n, t_len, 80))
+def brute_force_column(column, note_low, position):
+    """Independent loop oracle for one (N, 2) column at an absolute step
+    position: returns its (N, 80) expansion."""
+    n = len(column)
+    out = np.zeros((n, 80))
     for note in range(n):
-        midi = matrix.note_low + note
-        for t in range(t_len):
-            vec = []
-            vec.append(midi / 128.0)
-            one_hot = [0.0] * 12
-            one_hot[midi % 12] = 1.0
-            vec.extend(one_hot)
-            for offset in range(-12, 13):
-                other = note + offset
-                if 0 <= other < n:
-                    vec.append(float(matrix.data[other, t, 0]))
-                    vec.append(float(matrix.data[other, t, 1]))
-                else:
-                    vec.extend([0.0, 0.0])
-            counts = [0.0] * 12
-            for other in range(n):
-                if matrix.data[other, t, 0]:
-                    counts[(matrix.note_low + other) % 12] += 1.0
-            vec.extend(counts)
-            beat = t % 16
-            vec.extend(float((beat >> bit) & 1) for bit in range(4))
-            vec.append(0.0)
-            out[note, t] = vec
+        midi = note_low + note
+        vec = []
+        vec.append(midi / 128.0)
+        one_hot = [0.0] * 12
+        one_hot[midi % 12] = 1.0
+        vec.extend(one_hot)
+        for offset in range(-12, 13):
+            other = note + offset
+            if 0 <= other < n:
+                vec.append(float(column[other][0]))
+                vec.append(float(column[other][1]))
+            else:
+                vec.extend([0.0, 0.0])
+        counts = [0.0] * 12
+        for other in range(n):
+            if column[other][0]:
+                counts[(note_low + other) % 12] += 1.0
+        vec.extend(counts)
+        beat = position % 16
+        vec.extend(float((beat >> bit) & 1) for bit in range(4))
+        vec.append(0.0)
+        out[note] = vec
     return out
+
+
+def brute_force_expand(matrix):
+    """The column oracle over every step of a roll, (N, T, 80)."""
+    return np.stack([brute_force_column(matrix.data[:, t], matrix.note_low, t)
+                     for t in range(matrix.n_steps)], axis=1)
 
 
 class TestExpand:
@@ -125,3 +132,20 @@ class TestExpand:
         feats = features.expand_columns(cols, 60, np.array([-1]))
         bits = feats[0, 0, 75:79]
         assert bits.tolist() == [1.0, 1.0, 1.0, 1.0]   # position 15
+
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    def test_batched_columns_match_brute_force(self, rows):
+        rng = np.random.default_rng(47 + rows)
+        n_notes, note_low = 30, 41
+        cols = np.stack([helpers.random_matrix(
+            rng, n_notes=n_notes, n_steps=1, note_low=note_low,
+            density=0.3).data[:, 0] for _ in range(rows)])
+        positions = rng.integers(-40, 200, size=rows)
+        positions[0] = -1
+        feats = features.expand_columns(cols.astype(np.float64), note_low,
+                                        positions)
+        assert feats.shape == (rows, n_notes, 80)
+        for r in range(rows):
+            np.testing.assert_array_equal(
+                feats[r], brute_force_column(cols[r], note_low,
+                                             int(positions[r])))

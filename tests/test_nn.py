@@ -50,6 +50,82 @@ def step_one(cell, x, h_prev, c_prev):
     return h[0], c[0]
 
 
+def reference_forward(layers, xs, init_states=None, keep_masks=None):
+    """Row-major reference scan: each step activates its (R, 4H)
+    pre-activation block in place, i, f and o through one sigmoid call.
+    Returns (stream, caches, finals) like nn.stack_forward, with caches
+    as (inputs, gates (S, R, 4H), c, h, h0, c0, mask) tuples."""
+    s_len, rows, _ = xs.shape
+    caches, finals = [], []
+    stream = xs
+    for li, layer in enumerate(layers):
+        hs = layer.hidden_size
+        wx, wh, b = layer.packed()
+        if init_states is None:
+            h = c = np.zeros((rows, hs))
+        else:
+            h, c = init_states[li]
+        h0, c0 = h, c
+        gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
+            s_len, rows, 4 * hs)
+        gates += b
+        c_all = np.empty((s_len, rows, hs))
+        h_all = np.empty_like(c_all)
+        for s in range(s_len):
+            z = gates[s]
+            z += h @ wh.T
+            z[:, :3 * hs] = nn.sigmoid(z[:, :3 * hs])
+            np.tanh(z[:, 3 * hs:], out=z[:, 3 * hs:])
+            c = z[:, hs:2 * hs] * c + z[:, :hs] * z[:, 3 * hs:]
+            h = z[:, 2 * hs:3 * hs] * np.tanh(c)
+            c_all[s], h_all[s] = c, h
+        mask = None if keep_masks is None else keep_masks[li]
+        caches.append((stream, gates, c_all, h_all, h0, c0, mask))
+        finals.append((h, c))
+        stream = h_all if mask is None else h_all * mask
+    return stream, caches, finals
+
+
+def reference_backward(layers, caches, dstream):
+    """Backpropagation through reference_forward's row-major gates."""
+    grads_out = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        layer = layers[li]
+        inputs, gates, c_all, h_all, h0, c0, mask = caches[li]
+        hs, d = layer.hidden_size, layer.input_size
+        wx, wh, _ = layer.packed()
+        s_len, rows, _ = h_all.shape
+        if mask is not None:
+            dstream = dstream * mask
+        dh_carry = dc_carry = np.zeros((rows, hs))
+        dz_all = np.empty((s_len, rows, 4 * hs))
+        for s in range(s_len - 1, -1, -1):
+            act = gates[s]
+            sig = act[:, :3 * hs]
+            i, f, o, g = (act[:, k * hs:(k + 1) * hs] for k in range(4))
+            c_prev = c_all[s - 1] if s > 0 else c0
+            dh = dstream[s] + dh_carry
+            tc = np.tanh(c_all[s])
+            dc = dc_carry + dh * o * (1.0 - tc * tc)
+            dz = dz_all[s]
+            dz[:, :hs] = dc * g
+            dz[:, hs:2 * hs] = dc * c_prev
+            dz[:, 2 * hs:3 * hs] = dh * tc
+            dz[:, :3 * hs] *= sig
+            dz[:, :3 * hs] *= 1.0 - sig
+            dz[:, 3 * hs:] = dc * i * (1.0 - g * g)
+            dc_carry = dc * f
+            dh_carry = dz @ wh
+        flat_dz = dz_all.reshape(s_len * rows, 4 * hs)
+        h_prev = np.concatenate([h0[None], h_all[:-1]], axis=0)
+        dw = np.empty_like(layer.w)
+        dw[:, :d] = flat_dz.T @ inputs.reshape(s_len * rows, d)
+        dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
+        grads_out[li] = nn.gate_views(dw, flat_dz.sum(axis=0), hs)
+        dstream = (flat_dz @ wx).reshape(s_len, rows, d)
+    return grads_out, dstream
+
+
 class TestPackedCell:
     def test_packed_blocks_are_views_of_w(self):
         cell = nn.LstmCellParams.fresh(3, 5, np.random.default_rng(0))
@@ -218,6 +294,70 @@ class TestStackScan:
         np.testing.assert_allclose(stream, bare * mask, rtol=0, atol=0)
 
 
+class TestGateMajorScan:
+    """The gate-major kernel against the row-major reference scan: the
+    GEMMs are the same calls and every elementwise product is formed
+    from the same operands in the same order, so results are equal to
+    the bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 32, 128])
+    @pytest.mark.parametrize("hidden", [[5], [6, 3]])
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_bit_identical_to_the_row_major_scan(self, rows, hidden,
+                                                 with_init, with_masks):
+        rng = np.random.default_rng(rows * 31 + len(hidden))
+        layers, size = [], 4
+        for hs in hidden:
+            layers.append(random_cell(size, hs, rng))
+            size = hs
+        xs = rng.normal(size=(7, rows, 4))
+        init = [(rng.normal(size=(rows, hs)), rng.normal(size=(rows, hs)))
+                for hs in hidden] if with_init else None
+        masks = [nn.dropout_mask((rows, hs), 0.5, rng)
+                 for hs in hidden] if with_masks else None
+
+        stream, caches, finals = nn.stack_forward(layers, xs, init, masks)
+        ref_stream, ref_caches, ref_finals = reference_forward(
+            layers, xs, init, masks)
+        np.testing.assert_array_equal(stream, ref_stream)
+        for (h, c), (ref_h, ref_c) in zip(finals, ref_finals):
+            np.testing.assert_array_equal(h, ref_h)
+            np.testing.assert_array_equal(c, ref_c)
+
+        dstream = rng.normal(size=stream.shape)
+        grads, dxs = nn.stack_backward(layers, caches, dstream)
+        ref_grads, ref_dxs = reference_backward(layers, ref_caches, dstream)
+        for got, want in zip(grads, ref_grads):
+            assert set(got) == set(nn.GATE_FIELDS)
+            for name in nn.GATE_FIELDS:
+                np.testing.assert_array_equal(got[name], want[name])
+        np.testing.assert_array_equal(dxs, ref_dxs)
+
+    def test_cache_holds_each_steps_gates_gate_major(self):
+        rng = np.random.default_rng(25)
+        layers = [random_cell(4, 3, rng)]
+        xs = rng.normal(size=(5, 2, 4))
+        _, [cache], _ = nn.stack_forward(layers, xs)
+        _, [ref_cache], _ = reference_forward(layers, xs)
+        ref_gates = ref_cache[1]
+        for s in range(5):
+            np.testing.assert_array_equal(
+                cache.gates[s].reshape(4, 2, 3),
+                ref_gates[s].reshape(2, 4, 3).transpose(1, 0, 2))
+
+    def test_init_states_are_not_written(self):
+        rng = np.random.default_rng(26)
+        layers = [random_cell(3, 4, rng), random_cell(4, 2, rng)]
+        init = [(rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
+                (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))]
+        before = [(h.copy(), c.copy()) for h, c in init]
+        nn.stack_forward(layers, rng.normal(size=(3, 2, 3)), init)
+        for (h, c), (h_was, c_was) in zip(init, before):
+            np.testing.assert_array_equal(h, h_was)
+            np.testing.assert_array_equal(c, c_was)
+
+
 class TestAdadelta:
     def test_first_step_closed_form(self):
         rho, eps = 0.95, 1e-6
@@ -267,6 +407,32 @@ class TestAdadelta:
             nn.adadelta_update(param, np.array([np.nan]), state)
         assert param[0] == 1.0
         assert state.avg_sq_grad[0] == 0.0
+
+
+    def test_optimizer_step_is_all_or_nothing(self):
+        params = {"a": np.ones(3), "b": np.full(3, 2.0)}
+        opt = nn.Adadelta()
+        opt.step(params, {"a": np.full(3, 0.5), "b": np.full(3, -0.5)})
+        params_before = {k: v.copy() for k, v in params.items()}
+        states_before = {k: (st.avg_sq_grad.copy(), st.avg_sq_delta.copy())
+                         for k, st in opt.states.items()}
+        with pytest.raises(nn.NonFiniteGradientError, match="b"):
+            opt.step(params, {"a": np.ones(3),
+                              "b": np.array([1.0, np.nan, 1.0])})
+        for name, value in params_before.items():
+            np.testing.assert_array_equal(params[name], value)
+        for name, (avg_g, avg_d) in states_before.items():
+            np.testing.assert_array_equal(opt.states[name].avg_sq_grad, avg_g)
+            np.testing.assert_array_equal(opt.states[name].avg_sq_delta,
+                                          avg_d)
+        # a rejected first step creates no state either
+        fresh = nn.Adadelta()
+        with pytest.raises(nn.NonFiniteGradientError):
+            fresh.step(params, {"a": np.ones(3),
+                                "b": np.array([1.0, 1.0, np.inf])})
+        assert fresh.states == {}
+        for name, value in params_before.items():
+            np.testing.assert_array_equal(params[name], value)
 
 
 class TestDropoutMask:

@@ -321,8 +321,29 @@ class TestConfig:
         cfg.rl_batch_size = 2.5
         with pytest.raises(ValueError, match="rl_batch_size"):
             cfg.validate()
+        # a boolean field takes only a bool: a quoted "false" is truthy
+        with pytest.raises(ValueError, match="double_q"):
+            RunConfig.from_sources({"double_q": "false"})
+        with pytest.raises(ValueError, match="teacher_forcing"):
+            RunConfig.from_sources({"teacher_forcing": "no"})
+        with pytest.raises(ValueError, match="double_q"):
+            RunConfig(double_q=0).validate()
+        # hidden sizes are integers as given, never coerced
+        with pytest.raises(ValueError, match="timewise_hidden"):
+            RunConfig.from_sources({"timewise_hidden": [2.5]})
+        with pytest.raises(ValueError, match="notewise_hidden"):
+            RunConfig.from_sources({"notewise_hidden": [True]})
+        with pytest.raises(ValueError, match="notewise_hidden"):
+            RunConfig(notewise_hidden=[4, "8"]).validate()
+        with pytest.raises(ValueError, match="timewise_hidden"):
+            RunConfig(timewise_hidden=[]).validate()
+        with pytest.raises(ValueError, match="positive"):
+            RunConfig(timewise_hidden=[0]).validate()
         # integers are real numbers
         RunConfig(key_penalty=-2, autocorr_threshold=1).validate()
+        cfg = RunConfig.from_sources({"double_q": True,
+                                      "timewise_hidden": [3, 2]})
+        assert cfg.double_q is True and cfg.timewise_hidden == [3, 2]
 
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,
