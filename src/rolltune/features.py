@@ -23,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .midiio import NoteStateMatrix
+from .nn import buffer
 
 FEATURE_WIDTH = 80
 VICINITY_RADIUS = 12
@@ -31,17 +32,19 @@ _BEAT_PERIOD = 16
 
 
 def expand_columns(columns: np.ndarray, note_low: int,
-                   positions: np.ndarray) -> np.ndarray:
+                   positions: np.ndarray, ws=None) -> np.ndarray:
     """Expand a batch of single-step columns.
 
     columns has shape (R, N, 2) and positions (R,), giving each column's
     absolute step index (negative values wrap, so a column seeded one
     step before a piece starts sits at the last beat of a measure).
-    Returns (R, N, FEATURE_WIDTH) float64.
+    Returns (R, N, FEATURE_WIDTH) float64, the array of the nn.Workspace
+    ws when one is given.
     """
     columns = np.asarray(columns, dtype=np.float64)
     r, n, _ = columns.shape
-    out = np.zeros((r, n, FEATURE_WIDTH))
+    out = buffer(ws, "features", (r, n, FEATURE_WIDTH))
+    out[:, :, FEATURE_WIDTH - 1] = 0.0
     midi = note_low + np.arange(n)
     out[:, :, 0] = midi / 128.0
     pitch_class = np.eye(12)[midi % 12]                  # (N, 12) one-hot
@@ -73,11 +76,16 @@ def expand(matrix: NoteStateMatrix) -> np.ndarray:
     return np.transpose(feats, (1, 0, 2))             # (N, T, 80)
 
 
-def expand_batch(batch: np.ndarray, note_low: int) -> np.ndarray:
+def expand_batch(batch: np.ndarray, note_low: int, ws=None) -> np.ndarray:
     """Expand a batch of rolls (B, N, T, 2) to (B, N, T, FEATURE_WIDTH);
-    every segment is assumed to start on a measure boundary."""
+    every segment is assumed to start on a measure boundary.
+
+    The columns are expanded time-major, so the result is a view of a
+    contiguous (T, B, N, FEATURE_WIDTH) array: the time scan's input
+    layout, which model.timewise_pass then reads without a copy.
+    """
     b, n, t, _ = batch.shape
-    cols = np.transpose(batch, (0, 2, 1, 3)).reshape(b * t, n, 2)
-    positions = np.tile(np.arange(t), b)
-    feats = expand_columns(cols, note_low, positions)
-    return np.transpose(feats.reshape(b, t, n, FEATURE_WIDTH), (0, 2, 1, 3))
+    cols = np.transpose(batch, (2, 0, 1, 3)).reshape(t * b, n, 2)
+    positions = np.repeat(np.arange(t), b)
+    feats = expand_columns(cols, note_low, positions, ws)
+    return np.transpose(feats.reshape(t, b, n, FEATURE_WIDTH), (1, 2, 0, 3))

@@ -36,6 +36,11 @@ MELODY_ACTIONS = 38
 DEFAULT_DIVISION = 480
 DEFAULT_TEMPO_BPM = 120.0
 
+# Longest grid quantize builds: about nine hours of sixteenth notes at
+# 120 bpm. A single 4-byte delta at division 1 would otherwise ask for
+# about 1e9 steps, 77 GB of roll at 36 notes.
+MAX_STEPS = 1 << 18
+
 
 class MidiParseError(ValueError):
     """Malformed MIDI input; message names the offending byte offset."""
@@ -326,7 +331,8 @@ def quantize(song: MidiSong, note_low: int, n_notes: int,
     Note boundaries round to the nearest step; notes that collapse to
     zero length or fall outside [note_low, note_low + n_notes) are
     dropped. A note-on with velocity 0 closes the note like a note-off.
-    Tempo changes do not affect the tick grid.
+    Tempo changes do not affect the tick grid. A song longer than
+    MAX_STEPS steps raises ValueError before the roll is allocated.
     """
     if steps_per_measure < 1:
         raise ValueError("steps_per_measure must be positive")
@@ -354,7 +360,11 @@ def quantize(song: MidiSong, note_low: int, n_notes: int,
     if not saw_note_event:
         raise ValueError("empty song: no note events")
 
+    # every note ends by max_tick, so no note extends the grid
     end_step = _round_half_up(max_tick / step_ticks)
+    if end_step > MAX_STEPS:
+        raise ValueError(f"song spans {end_step} steps, more than "
+                         f"MAX_STEPS = {MAX_STEPS}")
     quantized = []
     for pitch, start, end in notes:
         if not note_low <= pitch < note_low + n_notes:
@@ -364,7 +374,6 @@ def quantize(song: MidiSong, note_low: int, n_notes: int,
         if e <= s:
             continue    # shorter than half a step
         quantized.append((pitch - note_low, s, e))
-        end_step = max(end_step, e)
 
     n_steps = max(end_step, 1)
     data = np.zeros((n_notes, n_steps, 2), dtype=np.uint8)

@@ -118,15 +118,18 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
     return params
 
 
-def timewise_pass(feats: np.ndarray, layers, keep_masks=None):
+def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
     """Scan the time axis. feats (B, N, T, F) -> (B, N, T, H_top).
 
-    Notes never interact here; permuting them permutes outputs.
+    Notes never interact here; permuting them permutes outputs. feats
+    laid out time-major in memory, as expand_batch returns them, are
+    scanned in place.
     """
     b, n, t, f = feats.shape
     xs = np.ascontiguousarray(
         feats.transpose(2, 0, 1, 3)).reshape(t, b * n, f)
-    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=keep_masks)
+    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=keep_masks,
+                                         ws=nn.scope(ws, "timewise"))
     out = stream.reshape(t, b, n, -1).transpose(1, 2, 0, 3)
     return out, caches
 
@@ -166,27 +169,32 @@ def sample_pairs(logits: np.ndarray, rng) -> np.ndarray:
 
 
 def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
-                  targets: np.ndarray = None, rng=None, keep_masks=None):
+                  targets: np.ndarray = None, rng=None, keep_masks=None,
+                  ws=None):
     """Scan the note axis on top of the time scan's output.
 
     With targets, feedback is teacher-forced from the batch and samples
     are not drawn. Without targets, each note's sampled pair feeds the
     next note (rng required). Returns (logits, samples, cache) with
     shapes (B, N, T, 2); cache backpropagates through the realized
-    inputs, treating feedback pairs as constants.
+    inputs, treating feedback pairs as constants. The scan input, each
+    note's time output followed by its feedback pair, is written
+    note-major into one (N, B*T, H+2) array.
     """
-    b = timewise_out.shape[0]
-    base = _to_note_major(timewise_out)
+    b, n, t, hidden = timewise_out.shape
+    xs = nn.buffer(ws, "note_inputs", (n, b * t, hidden + 2))
+    by_song = xs.reshape(n, b, t, hidden + 2)
+    by_song[..., :hidden] = timewise_out.transpose(1, 0, 2, 3)
     if targets is not None:
-        fb = _to_note_major(teacher_feedback(targets))
+        by_song[..., hidden:] = teacher_feedback(targets).transpose(1, 0, 2, 3)
         samples = None
     else:
         if rng is None:
             raise ValueError("sampling the note scan requires an rng")
-        fb, samples = _sample_note_scan(params, base, rng, keep_masks)
-    xs = np.concatenate([base, fb], axis=2)
+        samples = _sample_note_scan(params, xs, rng, keep_masks)
     stream, caches, _ = nn.stack_forward(params.notewise, xs,
-                                         keep_masks=keep_masks)
+                                         keep_masks=keep_masks,
+                                         ws=nn.scope(ws, "notewise"))
     logits = stream @ params.proj_w.T + params.proj_b
     cache = (caches, stream, xs)
     return (_from_note_major(logits, b),
@@ -194,26 +202,25 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
             cache)
 
 
-def _sample_note_scan(params: BiaxialParams, base: np.ndarray, rng,
+def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
                       keep_masks=None):
     """Run the note scan sequentially, sampling each note's pair and
-    feeding it to the next. Returns (feedback, samples), both (N, R, 2);
-    feedback[n] is the pair sampled at note n-1."""
-    n, r, _ = base.shape
+    feeding it to the next. xs (N, R, H + 2) holds the time scan's
+    output in its first H columns; the last two of xs[n] are filled
+    with the pair sampled at note n-1 (zeros at note 0), so xs ends up
+    the scan's realized input. Returns the samples (N, R, 2)."""
+    n, r, _ = xs.shape
     states = [(np.zeros((r, lay.hidden_size)), np.zeros((r, lay.hidden_size)))
               for lay in params.notewise]
-    fb = np.zeros((n, r, 2))
     samples = np.zeros((n, r, 2))
-    prev = np.zeros((r, 2))
+    prev = 0.0
     for note in range(n):
-        fb[note] = prev
-        x = np.concatenate([base[note], prev], axis=1)
-        top, states = nn.stack_step(params.notewise, x, states,
+        xs[note, :, -2:] = prev
+        top, states = nn.stack_step(params.notewise, xs[note], states,
                                     keep_masks=keep_masks)
         logits = top @ params.proj_w.T + params.proj_b
-        prev = sample_pairs(logits, rng)
-        samples[note] = prev
-    return fb, samples
+        prev = samples[note] = sample_pairs(logits, rng)
+    return samples
 
 
 def loss(logits: np.ndarray, batch: np.ndarray):
@@ -254,12 +261,13 @@ def loss_with_gradient(logits, batch):
 
 
 def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
-                   rng=None, keep_prob=1.0, teacher_forcing=True):
+                   rng=None, keep_prob=1.0, teacher_forcing=True, ws=None):
     """One full forward/backward pass over a batch of rolls (B, N, T, 2).
 
     Returns (loss value, log-likelihood per step, grads dict keyed like
     param_arrays). Dropout masks, when active, are drawn once here and
-    shared by forward and backward.
+    shared by forward and backward. With an nn.Workspace ws, the passes
+    keep their arrays there; the gradients are fresh arrays either way.
     """
     b, n, t, _ = batch.shape
     masks_t = masks_n = None
@@ -270,35 +278,41 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
                    for lay in params.timewise]
         masks_n = [nn.dropout_mask((b * t, lay.hidden_size), keep_prob, rng)
                    for lay in params.notewise]
-    feats = expand_batch(batch, note_low)
-    timewise_out, caches_t = timewise_pass(feats, params.timewise, masks_t)
+    feats = expand_batch(batch, note_low, ws)
+    timewise_out, caches_t = timewise_pass(feats, params.timewise, masks_t,
+                                           ws)
     logits, _, (caches_n, stream_n, _) = notewise_pass(
         timewise_out, params,
         targets=np.asarray(batch, dtype=np.float64) if teacher_forcing
         else None,
-        rng=rng, keep_masks=masks_n)
+        rng=rng, keep_masks=masks_n, ws=ws)
     value, loglik, dlogits = loss_with_gradient(logits, batch)
     return value, loglik, backward(params, caches_t, caches_n, stream_n,
-                                   dlogits)
+                                   dlogits, ws)
 
 
 def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
-             dlogits: np.ndarray) -> dict:
+             dlogits: np.ndarray, ws=None) -> dict:
     """Gradients keyed like param_arrays, given d(logits) (B, N, T, 2)
     and the caches of a timewise and a notewise pass. The time scan's
-    input is the fixed features, so its gradient is skipped."""
+    input is the fixed features, so its gradient is skipped. With the
+    nn.Workspace the passes ran on, the caches are spent (see
+    nn.stack_backward) and the gradients are fresh arrays."""
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)
     grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
              "proj/b": dlogits.sum(axis=(0, 1))}
-    grads_note, dxs = nn.stack_backward(params.notewise, caches_n,
-                                        dlogits @ params.proj_w)
+    d_top = np.matmul(dlogits, params.proj_w, out=nn.buffer(
+        ws, "d_note_top", (n, b * t, params.notewise[-1].hidden_size)))
+    grads_note, dxs = nn.stack_backward(params.notewise, caches_n, d_top,
+                                        ws=nn.scope(ws, "notewise"))
     hidden_top = params.timewise[-1].hidden_size
-    d_tw = dxs[:, :, :hidden_top].reshape(n, b, t, hidden_top)
-    d_tw = np.ascontiguousarray(
-        d_tw.transpose(2, 1, 0, 3)).reshape(t, b * n, hidden_top)
+    d_tw = nn.buffer(ws, "d_time_top", (t, b * n, hidden_top))
+    d_tw.reshape(t, b, n, hidden_top)[...] = dxs[:, :, :hidden_top].reshape(
+        n, b, t, hidden_top).transpose(2, 1, 0, 3)
     grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,
-                                     input_grad=False)
+                                     input_grad=False,
+                                     ws=nn.scope(ws, "timewise"))
     for stack_name, stack_grads in (("timewise", grads_time),
                                     ("notewise", grads_note)):
         for i, layer_grads in enumerate(stack_grads):
@@ -348,13 +362,14 @@ def train(corpus, cfg, rng, params: BiaxialParams = None):
     opt = nn.Adadelta(rho=cfg.adadelta_rho, eps=cfg.adadelta_eps,
                       lr=cfg.learning_rate)
     arrays = param_arrays(params)
+    ws = nn.Workspace()
     history = []
     for it in range(cfg.iterations):
         batch = sample_segments(usable, cfg.segment_len, cfg.batch_size,
                                 cfg.steps_per_measure, rng)
         value, loglik, grads = loss_gradients(
             params, batch, cfg.note_low, rng=rng, keep_prob=cfg.keep_prob,
-            teacher_forcing=cfg.teacher_forcing)
+            teacher_forcing=cfg.teacher_forcing, ws=ws)
         opt.step(arrays, grads)
         history.append((it, value, loglik))
     return params, history
@@ -404,6 +419,8 @@ def generate(params: BiaxialParams, cfg, steps: int, rng,
 
 def _sample_single_column(params: BiaxialParams, top: np.ndarray, rng):
     """Sample one column (N, 2) given the time scan's top output (N, H)."""
-    base = top[:, None, :]                       # (N, 1, H)
-    _, samples = _sample_note_scan(params, base, rng)
+    n, hidden = top.shape
+    xs = np.empty((n, 1, hidden + 2))
+    xs[:, 0, :hidden] = top
+    samples = _sample_note_scan(params, xs, rng)
     return samples[:, 0, :].astype(np.uint8)

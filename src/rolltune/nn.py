@@ -22,7 +22,15 @@ Conventions:
     sigmoid over i, f and o, the candidate tanh and the c/h updates run
     on contiguous (R, H) slabs. The activated gates are stored back in
     that step's own memory of the layer cache, read as (4, R, H); the
-    matrix products keep their row-major (R, 4H) operands.
+    matrix products keep their row-major (R, 4H) operands,
+  * a Workspace keeps a pass's arrays for the next pass of the same
+    shapes, so a training or Q-update loop stops allocating (and the
+    kernel faulting in) tens of megabytes per iteration. A function
+    given ws=... writes its scans, scratch and caches into the
+    workspace, and every such array is valid until the next pass on
+    the same workspace; a backward pass also spends the caches it
+    reads. With ws=None (the default) every array is fresh. Gradient
+    blocks are fresh either way.
 """
 
 from __future__ import annotations
@@ -65,6 +73,56 @@ def softmax(x, axis=-1):
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+class Workspace:
+    """Float64 arrays kept by key, for a run of identically shaped
+    passes: each pass writes its arrays over the previous pass's instead
+    of allocating them again. Keys are chosen by the functions that take
+    a ws argument; scope(name) gives a child workspace, so two stacks
+    scanned with the same code keep apart.
+
+    An array a pass returns or caches from its workspace is valid until
+    the next pass on the same workspace. Whatever must outlive a pass
+    (gradient blocks, returned values, states kept for later) is always
+    a fresh array.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+        self._scopes = {}
+
+    def empty(self, key, shape) -> np.ndarray:
+        """The array under key, uninitialized; a new one when the key is
+        new or its shape differs."""
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[key] = np.empty(shape)
+        return arr
+
+    def scope(self, name) -> "Workspace":
+        """The child workspace under name, made on first use."""
+        child = self._scopes.get(name)
+        if child is None:
+            child = self._scopes[name] = Workspace()
+        return child
+
+    def arrays(self):
+        """Every array held here and in the child workspaces."""
+        yield from self._arrays.values()
+        for child in self._scopes.values():
+            yield from child.arrays()
+
+
+def buffer(ws, key, shape) -> np.ndarray:
+    """An uninitialized float64 array: ws's array under key, or a fresh
+    one when ws is None."""
+    return np.empty(shape) if ws is None else ws.empty(key, shape)
+
+
+def scope(ws, name):
+    """ws's child workspace under name, or None when ws is None."""
+    return None if ws is None else ws.scope(name)
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -158,20 +216,23 @@ class _LayerCache:
     inputs: np.ndarray      # (S, R, D) stream entering the layer
     gates: np.ndarray       # (S, R, 4H) memory; step s holds its activated
                             # gates gate-major, read as (4, R, H): i, f, o, g
-    c: np.ndarray           # (S, R, H)
-    h: np.ndarray           # (S, R, H)
+    c: np.ndarray           # (S + 1, R, H): step s writes c[s + 1];
+    h: np.ndarray           # stack_backward copies c0 and h0 into slot
+                            # 0, so c[s] and h[s] are step s's c_prev
+                            # and h_prev (the forward pass skips that copy)
     h0: np.ndarray          # (R, H) state before the first step
     c0: np.ndarray
     mask: np.ndarray | None
 
 
-def stack_forward(layers, xs, init_states=None, keep_masks=None):
+def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     """Run a stack over a whole scan.
 
     xs has shape (S, R, D): S steps of R parallel rows. init_states, a
     list of (h, c) pairs of shape (R, H), is read and never written.
     Returns the top stream (S, R, H_top), a cache for stack_backward,
     and the final (h, c) list, which are views of the cache's last step.
+    With a Workspace ws, every array of the scan is ws's (see Workspace).
 
     Inputs are projected in one matrix product per layer into a
     row-major (S, R, 4H) gates buffer. Each step adds the recurrent
@@ -180,7 +241,7 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None):
     and o and one tanh the candidate g, writing into the step's own
     block read as (4, R, H), which is what the cache keeps. Then
     c = f * c_prev + i * g and h = o * tanh(c) are written straight
-    into the cached c and h.
+    into the cached c and h, after a slot left for the initial state.
     """
     s_len, rows, _ = xs.shape
     caches, finals = [], []
@@ -193,115 +254,127 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None):
         else:
             h, c = init_states[li]
         h0, c0 = h, c
-        gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
-            s_len, rows, 4 * hs)
+        gates = buffer(ws, ("gates", li), (s_len, rows, 4 * hs))
+        np.matmul(stream.reshape(s_len * rows, -1), wx.T,
+                  out=gates.reshape(s_len * rows, 4 * hs))
         gates += b
         # the same memory twice: step s's pre-activations seen gate-major,
         # and its block reinterpreted as (4, R, H) to hold the activations
         pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
         acts = gates.reshape(s_len, 4, rows, hs)
-        c_all = np.empty((s_len, rows, hs))
-        h_all = np.empty_like(c_all)
-        z = np.empty((4, rows, hs))
+        c_all = buffer(ws, ("c", li), (s_len + 1, rows, hs))
+        h_all = buffer(ws, ("h", li), (s_len + 1, rows, hs))
+        # without a workspace the product allocates, which costs less
+        # than one more buffer in the one-step calls of generation
+        rec = None if ws is None else ws.empty(("rec", hs), (rows, 4 * hs))
+        z = buffer(ws, ("z", hs), (4, rows, hs))
         z_sig, z_cand = z[:3], z[3]
         wh_t = wh.T
         for s in range(s_len):
-            gates[s] += h @ wh_t
+            gates[s] += np.matmul(h, wh_t, out=rec)
             z[...] = pre[s]
             i, f, o, g = act = acts[s]
             sigmoid(z_sig, out=act[:3])
             np.tanh(z_cand, out=g)
-            c = np.multiply(f, c, out=c_all[s])
+            c = np.multiply(f, c, out=c_all[s + 1])
             c += np.multiply(i, g, out=z_cand)   # tanh above consumed z_cand
-            h = np.tanh(c, out=h_all[s])
+            h = np.tanh(c, out=h_all[s + 1])
             h *= o
         mask = None if keep_masks is None else keep_masks[li]
         caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
         finals.append((h, c))
-        stream = h_all if mask is None else h_all * mask
+        stream = h_all[1:]
+        if mask is not None:
+            stream = np.multiply(stream, mask, out=buffer(
+                ws, ("masked", li), stream.shape))
     return stream, caches, finals
 
 
-def stack_backward(layers, caches, dstream, input_grad=True):
+def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     """Backpropagate through a stack_forward scan.
 
     dstream is the gradient w.r.t. the top stream (S, R, H_top).
     Returns (per-layer grad dicts, dxs) where dxs is the gradient
     w.r.t. the original scan input, or None when input_grad is False
     (its product is then skipped). A layer's dict is keyed like
-    GATE_FIELDS and holds row-block views of one packed gradient block.
+    GATE_FIELDS and holds row-block views of one packed gradient block,
+    which is always a fresh array. With a Workspace ws, dxs and the
+    scratch are ws's, and each step's gate gradient is written over the
+    cached gates it has just consumed, so the caches are spent.
     """
     grads_out = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
         layer, cache = layers[li], caches[li]
         hs, d = layer.hidden_size, layer.input_size
         wx, wh, _ = layer.packed()
-        s_len, rows, _ = cache.h.shape
+        s_len, rows, _ = cache.gates.shape
+        cache.h[0], cache.c[0] = cache.h0, cache.c0
         if cache.mask is not None:
-            dstream = dstream * cache.mask
-        flat_dz = _gate_gradients(cache, wh, dstream).reshape(
+            dstream = np.multiply(dstream, cache.mask, out=buffer(
+                ws, ("dmasked", li), dstream.shape))
+        flat_dz = _gate_gradients(cache, wh, dstream, ws).reshape(
             s_len * rows, 4 * hs)
-        h_prev = np.concatenate([cache.h0[None], cache.h[:-1]], axis=0)
         dw = np.empty_like(layer.w)
         dw[:, :d] = flat_dz.T @ cache.inputs.reshape(s_len * rows, d)
-        dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
+        dw[:, d:] = flat_dz.T @ cache.h[:-1].reshape(s_len * rows, hs)
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
         if li == 0 and not input_grad:
             return grads_out, None
-        dstream = (flat_dz @ wx).reshape(s_len, rows, d)
+        dstream = np.matmul(flat_dz, wx, out=buffer(
+            ws, ("dinput", li), (s_len * rows, d))).reshape(s_len, rows, d)
     return grads_out, dstream
 
 
-def _gate_gradients(cache, wh, dstream):
+def _gate_gradients(cache, wh, dstream, ws=None):
     """Gradient (S, R, 4H) w.r.t. one layer's pre-activations, row-major
     like the gates stack_forward projected, given the gradient w.r.t.
-    the layer's output stream (S, R, H).
+    the layer's output stream (S, R, H). With a Workspace it is written
+    over cache.gates, step by step once that step's gates are read.
 
     Each step reads the cached gates as contiguous (4, R, H) slabs and
-    builds the i/f/o derivatives in one (3, R, H) scratch. Every product
-    is formed in place but equals the plain expression in the comment
-    above it bit for bit (float products and sums do not depend on
-    operand order, and adding the scalar 0.0 carry of the last step
-    equals adding a zero array), so a step allocates at most four
-    (R, H) arrays. That matters at 1,152 rows (a 32-state tuner
-    update): once the memory an update frees at the top of the heap
-    passes glibc's trim threshold, the heap is trimmed and faulted in
-    again on every update, which cost up to a fifth of tune throughput
-    in the processes where it happened.
+    builds its gradient gate-major in a (4, R, H) scratch (with a
+    workspace, the forward scan's), then copies it row-major into place.
+    Every product is formed in place in scratch allocated once per
+    call, and equals the plain expression in the comment above it bit
+    for bit (float products and sums do not depend on operand order,
+    and adding the scalar 0.0 carry of the last step equals adding a
+    zero array).
     """
-    s_len, rows, hs = cache.h.shape
+    s_len, rows, four_h = cache.gates.shape
+    hs = four_h // 4
     acts = cache.gates.reshape(s_len, 4, rows, hs)
-    dz_all = np.empty((s_len, rows, 4 * hs))
-    d_sig = np.empty((3, rows, hs))
-    dz_ifo = dz_all.reshape(s_len, rows, 4, hs)[:, :, :3].transpose(
-        0, 2, 1, 3)
-    dz_cand = dz_all[:, :, 3 * hs:]
+    dz_all = (cache.gates if ws is not None
+              else np.empty((s_len, rows, four_h)))
+    dz_rows = dz_all.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
+    dz = buffer(ws, ("z", hs), (4, rows, hs))
+    d_sig = buffer(ws, ("d_sig", hs), (3, rows, hs))
+    dh, tc, dc, dc_next, dh_next = buffer(ws, ("dstep", hs), (5, rows, hs))
     dh_carry = dc_carry = 0.0
     for s in range(s_len - 1, -1, -1):
         i, f, o, g = act = acts[s]
         sig = act[:3]
-        c_prev = cache.c[s - 1] if s > 0 else cache.c0
-        dh = dstream[s] + dh_carry
-        tc = np.tanh(cache.c[s])
+        np.add(dstream[s], dh_carry, out=dh)
+        np.tanh(cache.c[s + 1], out=tc)
         # dc = dc_carry + dh * o * (1 - tc * tc)
-        dc = np.multiply(tc, tc)
+        np.multiply(tc, tc, out=dc)
         np.subtract(1.0, dc, out=dc)
         dc *= np.multiply(dh, o, out=d_sig[0])
         dc += dc_carry
-        # dz_ifo = (dc * g, dc * c_prev, dh * tc) * sig * (1 - sig)
-        np.multiply(dc, g, out=d_sig[0])
-        np.multiply(dc, c_prev, out=d_sig[1])
-        np.multiply(dh, tc, out=d_sig[2])
-        d_sig *= sig
-        d_ifo = np.subtract(1.0, sig, out=dz_ifo[s])
-        d_ifo *= d_sig
-        # dz_cand = dc * i * (1 - g * g)
+        # dz[:3] = (dc * g, dc * c_prev, dh * tc) * sig * (1 - sig)
+        np.multiply(dc, g, out=dz[0])
+        np.multiply(dc, cache.c[s], out=dz[1])
+        np.multiply(dh, tc, out=dz[2])
+        dz[:3] *= sig
+        dz[:3] *= np.subtract(1.0, sig, out=d_sig)
+        # dz[3] = dc * i * (1 - g * g)
         d_g = np.multiply(g, g, out=d_sig[1])
         np.subtract(1.0, d_g, out=d_g)
-        np.multiply(np.multiply(dc, i, out=d_sig[0]), d_g, out=dz_cand[s])
+        np.multiply(np.multiply(dc, i, out=d_sig[0]), d_g, out=dz[3])
         if s:   # step 0 passes nothing further back
-            dc_carry = np.multiply(dc, f, out=dc)
-            dh_carry = dz_all[s] @ wh
+            dc_carry = np.multiply(dc, f, out=dc_next)
+        dz_rows[s] = dz     # overwrites this step's gates in a workspace
+        if s:
+            dh_carry = np.matmul(dz_all[s], wh, out=dh_next)
     return dz_all
 
 

@@ -103,13 +103,17 @@ class TrunkSnapshot:
         return self.col.shape[0]
 
     @classmethod
-    def stack(cls, snapshots: list) -> "TrunkSnapshot":
-        """One batch holding the states of several snapshots, in order."""
+    def stack(cls, snapshots: list, ws=None) -> "TrunkSnapshot":
+        """One batch holding the states of several snapshots, in order.
+        With an nn.Workspace ws, the stacked cells are ws's arrays."""
         if len(snapshots) == 1:
             return snapshots[0]
-        cells = [tuple(np.concatenate([s.cells[li][j] for s in snapshots])
-                       for j in (0, 1))
-                 for li in range(len(snapshots[0].cells))]
+        rows = sum(len(s.cells[0][0]) for s in snapshots)
+        cells = [tuple(np.concatenate(
+            [s.cells[li][j] for s in snapshots],
+            out=nn.buffer(ws, ("cells", li, j), (rows, cell.shape[1])))
+            for j, cell in enumerate(pair))
+            for li, pair in enumerate(snapshots[0].cells)]
         return cls(cells, np.concatenate([s.col for s in snapshots]),
                    np.concatenate([s.pos for s in snapshots]),
                    np.concatenate([s.sounding for s in snapshots]))
@@ -117,10 +121,13 @@ class TrunkSnapshot:
     def advance(self, cells: list, actions, step: int,
                 note_low: int) -> "TrunkSnapshot":
         """The states after each takes its action at `step`, given the
-        cells trunk_scores advanced through this snapshot's columns."""
+        cells trunk_scores advanced through this snapshot's columns. The
+        snapshot keeps copies: the cells are views into the scan's
+        buffers, which a replay entry should not keep alive."""
         n_notes = self.col.shape[1]
         return TrunkSnapshot(
-            cells, action_columns(actions, self.sounding, note_low, n_notes),
+            [(h.copy(), c.copy()) for h, c in cells],
+            action_columns(actions, self.sounding, note_low, n_notes),
             np.full(len(self), step), next_sounding(actions, self.sounding))
 
 
@@ -180,24 +187,26 @@ def fresh_snapshot(trunk: BiaxialParams, n_notes: int,
 
 
 def trunk_scores(trunk: BiaxialParams, note_low: int,
-                 snapshot: TrunkSnapshot):
+                 snapshot: TrunkSnapshot, ws=None):
     """Advance a snapshot's B states one step and project 38 action
     scores for each. The note axis is model.notewise_pass, teacher-forced
     over one step, so its feedback pairs are all zeros.
 
     Returns (scores (B, 38), advanced cells per layer as (B*N, hidden)
     arrays, cache for trunk_scores_backward). The stored cells are
-    inputs here, never differentiated through.
+    inputs here, never differentiated through. With an nn.Workspace ws
+    the passes keep their arrays there, the advanced cells included;
+    the scores are fresh.
     """
     b, n = snapshot.col.shape[:2]
     rows = melody_rows(note_low, n)
-    feats = expand_columns(snapshot.col, note_low, snapshot.pos)
+    feats = expand_columns(snapshot.col, note_low, snapshot.pos, ws)
     stream, t_caches, finals = nn.stack_forward(
         trunk.timewise, feats.reshape(1, b * n, -1),
-        init_states=snapshot.cells)
+        init_states=snapshot.cells, ws=nn.scope(ws, "timewise"))
     logits, _, (n_caches, stream_n, _) = notewise_pass(
         stream[0].reshape(b, n, 1, -1), trunk,
-        targets=np.zeros((b, n, 1, 2)))
+        targets=np.zeros((b, n, 1, 2)), ws=ws)
     # (M, B, 2) over the note-major buffer, so sums run along melody rows
     mel = logits[:, rows, 0].transpose(1, 0, 2)
     lp = nn.log_sigmoid(mel[:, :, 0])
@@ -217,9 +226,10 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
 
 
 def trunk_scores_backward(trunk: BiaxialParams, cache,
-                          dscores: np.ndarray) -> dict:
+                          dscores: np.ndarray, ws=None) -> dict:
     """Gradients of a scalar through trunk_scores, given d(scores):
-    d(logits) on the melody rows, then model.backward."""
+    d(logits) on the melody rows, then model.backward on the workspace
+    the scores were computed with."""
     t_caches, n_caches, stream_n, logits, sounding, rows = cache
     b, n_mel = len(sounding), rows.stop - rows.start
     d_hold = dscores[:, MELODY_NO_EVENT]
@@ -238,7 +248,7 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     dmel = dlogits[:, rows, 0].transpose(1, 0, 2)
     dmel[:, :, 0] = dlp * (1.0 - sig_p) - dlnp * sig_p
     dmel[:, :, 1] = dla * (1.0 - sig_a) - dlna * sig_a
-    return backward(trunk, t_caches, n_caches, stream_n, dlogits)
+    return backward(trunk, t_caches, n_caches, stream_n, dlogits, ws)
 
 
 @dataclass
@@ -293,11 +303,12 @@ class MelodyQNetwork:
     def start(self, songs: int = 1) -> TrunkSnapshot:
         return fresh_snapshot(self.trunk, self.n_notes, songs)
 
-    def q_batch(self, snapshots: list):
+    def q_batch(self, snapshots: list, ws=None):
         """(B, 38) Q-values for the states of a list of snapshots, in
-        order, and the cache backward() consumes."""
-        scores, finals, inner = trunk_scores(self.trunk, self.note_low,
-                                             TrunkSnapshot.stack(snapshots))
+        order, and the cache backward() consumes. The Q-values are fresh
+        arrays; the cache lives in the nn.Workspace ws when one is given."""
+        scores, finals, inner = trunk_scores(
+            self.trunk, self.note_low, TrunkSnapshot.stack(snapshots, ws), ws)
         q = scores @ self.head_w.T + self.head_b
         return q, (inner, scores, finals)
 
@@ -306,12 +317,12 @@ class MelodyQNetwork:
         q, (_, _, finals) = self.q_batch([snapshot])
         return q, finals
 
-    def backward(self, cache, dq: np.ndarray) -> dict:
+    def backward(self, cache, dq: np.ndarray, ws=None) -> dict:
         inner, scores, _ = cache
         grads = {"head/w": dq.T @ scores, "head/b": dq.sum(axis=0)}
         dscores = dq @ self.head_w
-        for name, g in trunk_scores_backward(self.trunk, inner,
-                                             dscores).items():
+        for name, g in trunk_scores_backward(self.trunk, inner, dscores,
+                                             ws).items():
             grads[f"trunk/{name}"] = g
         return grads
 
@@ -348,13 +359,15 @@ def target_sync(online: dict, target: dict, eta: float):
 
 
 def q_targets(transitions: list, target_model, gamma: float,
-              double_q: bool = False, online_model=None) -> np.ndarray:
+              double_q: bool = False, online_model=None,
+              ws=None) -> np.ndarray:
     """Bellman targets r + gamma * max Q(s', .; theta_minus), with the
-    bootstrap dropped on terminal transitions."""
+    bootstrap dropped on terminal transitions. Both networks' passes run
+    on the workspace ws when one is given."""
     next_states = [t.next_state for t in transitions]
-    q_next, _ = target_model.q_batch(next_states)
+    q_next, _ = target_model.q_batch(next_states, ws=ws)
     if double_q:
-        q_online, _ = online_model.q_batch(next_states)
+        q_online, _ = online_model.q_batch(next_states, ws=ws)
         best = np.argmax(q_online, axis=1)
     else:
         best = np.argmax(q_next, axis=1)
@@ -364,12 +377,14 @@ def q_targets(transitions: list, target_model, gamma: float,
     return rewards + gamma * np.where(terminal, 0.0, bootstrap)
 
 
-def q_loss_gradients(transitions: list, model, targets: np.ndarray):
+def q_loss_gradients(transitions: list, model, targets: np.ndarray,
+                     ws=None):
     """Mean squared Bellman residual and its gradients w.r.t. model
-    parameters; the targets are constants here."""
+    parameters; the targets are constants here. The gradients are fresh
+    arrays, also when the pass runs on a workspace ws."""
     states = [t.state for t in transitions]
     actions = np.array([t.action for t in transitions])
-    q, cache = model.q_batch(states)
+    q, cache = model.q_batch(states, ws=ws)
     picked = q[np.arange(len(transitions)), actions]
     residual = targets - picked
     if not np.all(np.isfinite(residual)):
@@ -381,18 +396,19 @@ def q_loss_gradients(transitions: list, model, targets: np.ndarray):
     dq = np.zeros_like(q)
     dq[np.arange(len(transitions)), actions] = \
         -2.0 * residual / len(transitions)
-    return loss, model.backward(cache, dq)
+    return loss, model.backward(cache, dq, ws=ws)
 
 
 def q_update(transitions: list, model, target_model, gamma: float,
-             optimizer, double_q: bool = False) -> float:
+             optimizer, double_q: bool = False, ws=None) -> float:
     """One gradient step on the online model; the target model only
-    supplies bootstrap values and is never modified."""
+    supplies bootstrap values and is never modified. Every network pass
+    of the update runs on the nn.Workspace ws when one is given."""
     if not transitions:
         raise ValueError("q_update needs a non-empty batch")
     targets = q_targets(transitions, target_model, gamma,
-                        double_q=double_q, online_model=model)
-    loss, grads = q_loss_gradients(transitions, model, targets)
+                        double_q=double_q, online_model=model, ws=ws)
+    loss, grads = q_loss_gradients(transitions, model, targets, ws=ws)
     optimizer.step(model.params(), grads)
     return loss
 
@@ -452,6 +468,7 @@ def tune(primed: BiaxialParams, cfg, rng):
     optimizer = nn.Adadelta(rho=cfg.adadelta_rho, eps=cfg.adadelta_eps,
                             lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.replay_capacity)
+    update_ws = nn.Workspace()
     q_snapshot, r_snapshot, history = qnet.start(), reward_model.start(), []
     trace = []
     for it in range(cfg.rl_iterations):
@@ -482,7 +499,8 @@ def tune(primed: BiaxialParams, cfg, rng):
 
         if len(buffer) >= cfg.rl_batch_size:
             q_update(buffer.sample(cfg.rl_batch_size, rng), qnet, target,
-                     cfg.gamma, optimizer, double_q=cfg.double_q)
+                     cfg.gamma, optimizer, double_q=cfg.double_q,
+                     ws=update_ws)
             target_sync(qnet.params(), target.params(), cfg.eta)
     return qnet, trace
 

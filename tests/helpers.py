@@ -183,6 +183,16 @@ class SgdOptimizer:
             params[name] -= self.lr * g
 
 
+def huge_delta_file() -> bytes:
+    """A MIDI file at division 1 whose one note ends 0x0FFFFFFF ticks
+    after it starts, the largest 4-byte delta: at 4 steps a tick that
+    asks for about 1.07e9 steps of roll."""
+    body = bytes([0x00, 0x90, 60, 64, 0xFF, 0xFF, 0xFF, 0x7F, 0x80, 60, 0,
+                  0x00, 0xFF, 0x2F, 0x00])
+    return (b"MThd" + (6).to_bytes(4, "big") + bytes([0, 0, 0, 1, 0, 1])
+            + b"MTrk" + len(body).to_bytes(4, "big") + body)
+
+
 class TabularQ:
     """Dense Q-table exposing the same duck-typed protocol as the neural
     Q-network (q_batch / backward / params / copy), with integer states."""
@@ -190,11 +200,11 @@ class TabularQ:
     def __init__(self, n_states, n_actions):
         self.table = np.zeros((n_states, n_actions))
 
-    def q_batch(self, states):
+    def q_batch(self, states, ws=None):
         idx = np.asarray(states, dtype=int)
         return self.table[idx], idx
 
-    def backward(self, cache, dq):
+    def backward(self, cache, dq, ws=None):
         grad = np.zeros_like(self.table)
         np.add.at(grad, cache, dq)
         return {"table": grad}

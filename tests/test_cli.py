@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from rolltune import checkpoint, cli, metrics, midiio, model
+from rolltune.config import RunConfig
 from rolltune.midiio import MELODY_ACTIONS
 
 TINY_CONFIG = {
@@ -115,6 +116,18 @@ class TestTrain:
                            "--iters", "0",
                            "--out", str(workdir / "mixed.ckpt")])
         assert rc == 0
+
+    def test_oversized_grid_is_skipped_with_a_warning(self, workdir):
+        cfg = RunConfig(**TINY_CONFIG).validate()
+        mixed = workdir / "oversized"
+        if not mixed.exists():
+            mixed.mkdir()
+            good = sorted((workdir / "corpus").iterdir())[0]
+            (mixed / good.name).write_bytes(good.read_bytes())
+            (mixed / "huge.mid").write_bytes(helpers.huge_delta_file())
+        with pytest.warns(UserWarning, match="huge.mid.*MAX_STEPS"):
+            corpus = cli.load_corpus(mixed, cfg)
+        assert len(corpus) == 1
 
 
 class TestGenerate:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
 from rolltune import midiio
@@ -20,6 +21,13 @@ def track_chunk(body: bytes):
 
 
 EOT = bytes([0x00, 0xFF, 0x2F, 0x00])
+
+
+# Property tests run a fixed, capped set of examples: no example
+# database is written and a run repeats exactly.
+PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestParse:
@@ -129,6 +137,39 @@ def naive_note_spans(data: bytes):
             if d1 in active:
                 spans.append((d1, active.pop(d1), tick))
     return sorted(spans)
+
+
+VALID_FILE = midiio.serialize_midi(midiio.to_midi(
+    helpers.random_matrix(np.random.default_rng(3), n_notes=4, n_steps=8)))
+
+
+def parse_or_parse_error(data: bytes):
+    """parse_midi's only way to fail is MidiParseError."""
+    try:
+        midiio.parse_midi(data)
+    except MidiParseError:
+        pass
+
+
+class TestParseFuzz:
+
+    @PROPERTIES
+    @given(st.one_of(st.binary(max_size=64),
+                     st.binary(max_size=96).map(lambda b: header() + b),
+                     st.binary(max_size=96).map(
+                         lambda b: header() + track_chunk(b))))
+    def test_arbitrary_bytes(self, data):
+        parse_or_parse_error(data)
+
+    @PROPERTIES
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1),
+                              st.integers(0, 255)), max_size=6),
+           st.integers(0, len(VALID_FILE)))
+    def test_mutated_valid_file(self, edits, keep):
+        data = bytearray(VALID_FILE)
+        for pos, value in edits:
+            data[pos] = value
+        parse_or_parse_error(bytes(data[:keep]))
 
 
 class TestVelocityZero:
@@ -256,6 +297,23 @@ class TestQuantize:
         with pytest.raises(ValueError, match="empty song"):
             midiio.quantize(song, note_low=60, n_notes=2)
 
+    def test_oversized_grid_rejected_before_allocating(self):
+        song = midiio.parse_midi(helpers.huge_delta_file())
+        assert song.tracks[0][1].delta == 0x0FFFFFFF
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            midiio.quantize(song, note_low=48, n_notes=36)
+
+    def test_grid_of_max_steps_is_accepted(self):
+        song = self.song([
+            MidiEvent(0, NOTE_ON, pitch=60, velocity=64),
+            MidiEvent(midiio.MAX_STEPS, NOTE_OFF, pitch=60),
+        ], division=4)                      # one tick per step
+        m = midiio.quantize(song, note_low=60, n_notes=1)
+        assert m.n_steps == midiio.MAX_STEPS
+        song.tracks[0][-1].delta = 1
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            midiio.quantize(song, note_low=60, n_notes=1)
+
 
 class TestRoundTrip:
     def test_all_silent_matrix_renders_tempo_and_eot_only(self):
@@ -285,6 +343,30 @@ class TestRoundTrip:
             rt = midiio.quantize(midiio.to_midi(m), note_low=m.note_low,
                                  n_notes=m.n_notes)
             assert rt == m, f"round trip changed the matrix on trial {trial}"
+
+    @PROPERTIES
+    @given(st.data())
+    def test_property_serialized_round_trip(self, data):
+        n_notes = data.draw(st.integers(1, 12), "n_notes")
+        n_steps = data.draw(st.integers(1, 40), "n_steps")
+        note_low = data.draw(st.integers(0, 128 - n_notes), "note_low")
+        cells = st.lists(st.booleans(), min_size=n_notes * n_steps,
+                         max_size=n_notes * n_steps)
+        play = np.array(data.draw(cells, "play")).reshape(n_notes, n_steps)
+        artic = np.array(data.draw(cells, "artic")).reshape(n_notes, n_steps)
+        # quantize rejects a song with no note events
+        play[data.draw(st.integers(0, n_notes - 1), "row"),
+             data.draw(st.integers(0, n_steps - 1), "step")] = True
+        artic &= play
+        artic[:, 0] |= play[:, 0]
+        artic[:, 1:] |= play[:, 1:] & ~play[:, :-1]
+        m = NoteStateMatrix(np.stack([play, artic], axis=-1).astype(np.uint8),
+                            note_low)
+        m.validate()
+        data_bytes = midiio.serialize_midi(midiio.to_midi(m))
+        rt = midiio.quantize(midiio.parse_midi(data_bytes),
+                             note_low=note_low, n_notes=n_notes)
+        assert rt == m
 
     def test_serialized_bytes_round_trip(self):
         m = helpers.random_matrix(np.random.default_rng(5))

@@ -231,6 +231,49 @@ class TestGradients:
             model.loss_gradients(params, batch, 60, keep_prob=0.5)
 
 
+class TestWorkspace:
+    """loss_gradients on one nn.Workspace against fresh arrays."""
+
+    @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2))])
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.6])
+    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    def test_consecutive_calls_match_fresh_arrays(
+            self, sizes, keep_prob, teacher_forcing, monkeypatch):
+        rng = np.random.default_rng(16)
+        params = small_params(rng, *sizes)
+        forward = nn.stack_forward
+        caches = []
+
+        def record(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            if kwargs.get("ws") is not None:
+                caches.append(out[1])
+            return out
+
+        monkeypatch.setattr(nn, "stack_forward", record)
+        ws = nn.Workspace()
+        for k in range(3):
+            batch = small_batch(rng, b=2, n=5, t=6)
+            want = model.loss_gradients(
+                params, batch, 60, rng=np.random.default_rng(k),
+                keep_prob=keep_prob, teacher_forcing=teacher_forcing)
+            got = model.loss_gradients(
+                params, batch, 60, rng=np.random.default_rng(k),
+                keep_prob=keep_prob, teacher_forcing=teacher_forcing, ws=ws)
+            assert got[:2] == want[:2]
+            assert set(got[2]) == set(want[2])
+            for name, grad in want[2].items():
+                np.testing.assert_array_equal(got[2][name], grad)
+            for grad in got[2].values():
+                assert not any(np.shares_memory(grad, kept)
+                               for kept in ws.arrays())
+        # one timewise and one notewise scan per call
+        assert len(caches) == 6
+        for first, second in zip(caches[:2], caches[2:4]):
+            for a, b in zip(first, second):
+                assert np.shares_memory(a.gates, b.gates)
+
+
 class TestParamArrays:
 
     def test_round_trip_through_named_arrays(self):

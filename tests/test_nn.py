@@ -358,6 +358,84 @@ class TestGateMajorScan:
             np.testing.assert_array_equal(c, c_was)
 
 
+class TestWorkspace:
+
+    def test_a_key_keeps_its_array_while_the_shape_matches(self):
+        ws = nn.Workspace()
+        a = ws.empty("x", (2, 3))
+        assert ws.empty("x", (2, 3)) is a
+        b = ws.empty("x", (3, 2))
+        assert b is not a and b.shape == (3, 2)
+        assert ws.empty(("x", 1), (2, 3)) is not b
+
+    def test_scopes_keep_equal_keys_apart(self):
+        ws = nn.Workspace()
+        a = ws.scope("time").empty("gates", (4,))
+        b = ws.scope("note").empty("gates", (4,))
+        assert ws.scope("time").empty("gates", (4,)) is a
+        assert not np.shares_memory(a, b)
+        assert len(list(ws.arrays())) == 2
+
+    def test_no_workspace_means_fresh_arrays(self):
+        assert nn.scope(None, "time") is None
+        a = nn.buffer(None, "x", (2, 2))
+        assert a.shape == (2, 2) and a is not nn.buffer(None, "x", (2, 2))
+
+    @pytest.mark.parametrize("hidden", [[5], [6, 3]])
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("with_masks", [False, True])
+    def test_passes_on_one_workspace_match_the_reference(
+            self, hidden, with_init, with_masks):
+        """Three forward/backward passes on one workspace: each equals
+        the reference scan to the bit, reuses the previous pass's gate
+        buffers, leaves the init states alone and returns gradient
+        blocks that share no memory with the workspace."""
+        rng = np.random.default_rng(40 + len(hidden))
+        layers, size = [], 4
+        for hs in hidden:
+            layers.append(random_cell(size, hs, rng))
+            size = hs
+        ws, held, rows = nn.Workspace(), None, 3
+        for _ in range(3):
+            xs = rng.normal(size=(6, rows, 4))
+            init = [(rng.normal(size=(rows, hs)),
+                     rng.normal(size=(rows, hs)))
+                    for hs in hidden] if with_init else None
+            before = None if init is None else [
+                (h.copy(), c.copy()) for h, c in init]
+            masks = [nn.dropout_mask((rows, hs), 0.5, rng)
+                     for hs in hidden] if with_masks else None
+            stream, caches, finals = nn.stack_forward(layers, xs, init,
+                                                      masks, ws=ws)
+            ref_stream, ref_caches, ref_finals = reference_forward(
+                layers, xs, init, masks)
+            np.testing.assert_array_equal(stream, ref_stream)
+            for (h, c), (ref_h, ref_c) in zip(finals, ref_finals):
+                np.testing.assert_array_equal(h, ref_h)
+                np.testing.assert_array_equal(c, ref_c)
+            if held is not None:
+                for cache, gates in zip(caches, held):
+                    assert np.shares_memory(cache.gates, gates)
+            held = [cache.gates for cache in caches]
+
+            dstream = rng.normal(size=stream.shape)
+            grads, dxs = nn.stack_backward(layers, caches, dstream, ws=ws)
+            ref_grads, ref_dxs = reference_backward(layers, ref_caches,
+                                                    dstream)
+            for got, want in zip(grads, ref_grads):
+                for name in nn.GATE_FIELDS:
+                    np.testing.assert_array_equal(got[name], want[name])
+            np.testing.assert_array_equal(dxs, ref_dxs)
+            for got in grads:
+                for arr in got.values():
+                    assert not any(np.shares_memory(arr, kept)
+                                   for kept in ws.arrays())
+            if init is not None:
+                for (h, c), (h_was, c_was) in zip(init, before):
+                    np.testing.assert_array_equal(h, h_was)
+                    np.testing.assert_array_equal(c, c_was)
+
+
 class TestAdadelta:
     def test_first_step_closed_form(self):
         rho, eps = 0.95, 1e-6

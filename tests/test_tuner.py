@@ -563,6 +563,68 @@ class TestQNetworkGradients:
         assert nn.max_relative_error(grads, numeric) < 1e-4
 
 
+class TestUpdateWorkspace:
+
+    @pytest.mark.parametrize("double_q", [False, True])
+    def test_updates_on_a_workspace_match_fresh_arrays(self, double_q):
+        rng = np.random.default_rng(12)
+        primed = primed_params(rng, timewise=(4, 3), notewise=(4,))
+        nets = [tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+                for _ in range(2)]
+        targets = [net.copy() for net in nets]
+        for net in targets:
+            net.head_w += 0.1
+        opts = [nn.Adadelta(), nn.Adadelta()]
+        ws = nn.Workspace()
+        for _ in range(3):
+            batch = [tuner.Transition(
+                random_snapshot(rng, primed), int(rng.integers(38)),
+                float(rng.normal()), random_snapshot(rng, primed),
+                bool(rng.random() < 0.3)) for _ in range(5)]
+            want = tuner.q_update(batch, nets[0], targets[0], 0.9, opts[0],
+                                  double_q=double_q)
+            got = tuner.q_update(batch, nets[1], targets[1], 0.9, opts[1],
+                                 double_q=double_q, ws=ws)
+            assert got == want
+            for name, arr in nets[0].params().items():
+                np.testing.assert_array_equal(nets[1].params()[name], arr)
+
+    def test_replay_cells_are_own_arrays_outside_the_workspace(
+            self, monkeypatch):
+        appended, workspaces, held = [], [], []
+        append, update = tuner.ReplayBuffer.append, tuner.q_update
+
+        def record_append(buffer, transition):
+            appended.append(transition)
+            append(buffer, transition)
+
+        # everything the workspace ever held, kept alive so no address
+        # is reused
+        def record_update(*args, ws=None, **kwargs):
+            workspaces.append(ws)
+            held.extend(ws.arrays())
+            loss = update(*args, ws=ws, **kwargs)
+            held.extend(ws.arrays())
+            return loss
+
+        monkeypatch.setattr(tuner.ReplayBuffer, "append", record_append)
+        monkeypatch.setattr(tuner, "q_update", record_update)
+        primed = primed_params(np.random.default_rng(0))
+        tuner.tune(primed, make_rl_config(rl_iterations=20, rl_batch_size=4),
+                   np.random.default_rng(8))
+        ws = workspaces[0]
+        assert len(workspaces) == 17 and ws is not None
+        assert all(w is ws for w in workspaces) and held
+        for transition in appended:
+            for snap in (transition.state, transition.next_state):
+                for cell in snap.cells:
+                    for arr in cell:
+                        # owns its memory, so it keeps no scan buffer alive
+                        assert arr.base is None
+                        assert not any(np.shares_memory(arr, k)
+                                       for k in held)
+
+
 def cdf_inverse(logits, u):
     """The action Generator.choice draws from softmax(logits) at the
     uniform u: cumulative sum, divided by its last entry, then a
