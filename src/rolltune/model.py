@@ -231,7 +231,7 @@ def loss(logits: np.ndarray, batch: np.ndarray):
     Articulation terms are dropped wherever the target play bit is 0.
     Returns (mean loss per cell, log-likelihood per step).
     """
-    ce, _, denom, rows = _cross_entropy(logits, batch)
+    ce, _, denom = _cross_entropy(logits, batch)
     total = float(ce.sum())
     n = logits.shape[1]
     return total / denom, -total / (denom / n)
@@ -246,13 +246,13 @@ def _cross_entropy(logits, batch):
     mask[..., 1] = tg[..., 0]
     ce = ce * mask
     b, n, t_eff = lg.shape[:3]
-    return ce, (lg, tg, mask), b * n * t_eff, b * t_eff
+    return ce, (lg, tg, mask), b * n * t_eff
 
 
 def loss_with_gradient(logits, batch):
     """loss() plus d(loss)/d(logits), zero at the final step and at
     masked articulation cells."""
-    ce, (lg, tg, mask), denom, _ = _cross_entropy(logits, batch)
+    ce, (lg, tg, mask), denom = _cross_entropy(logits, batch)
     total = float(ce.sum())
     dlogits = np.zeros_like(logits)
     dlogits[:, :, :-1] = (nn.sigmoid(lg) - tg) * mask / denom
@@ -370,7 +370,10 @@ def train(corpus, cfg, rng, params: BiaxialParams = None):
         value, loglik, grads = loss_gradients(
             params, batch, cfg.note_low, rng=rng, keep_prob=cfg.keep_prob,
             teacher_forcing=cfg.teacher_forcing, ws=ws)
-        opt.step(arrays, grads)
+        try:
+            opt.step(arrays, grads)
+        except nn.NonFiniteGradientError as exc:
+            raise nn.NonFiniteGradientError(f"iteration {it}: {exc}") from exc
         history.append((it, value, loglik))
     return params, history
 
@@ -405,7 +408,9 @@ def generate(params: BiaxialParams, cfg, steps: int, rng,
     # first step is a run start there even when the seed held it.
     prev_play = np.zeros(n, dtype=bool)
     for j in range(steps):
-        col = _sample_single_column(params, top, rng)
+        # the note scan over one step, its feedback pairs filled as sampled
+        xs = np.concatenate([top, np.zeros((n, 2))], axis=1)[:, None]
+        col = _sample_note_scan(params, xs, rng)[:, 0].astype(np.uint8)
         # A note switching on out of silence is an onset by definition,
         # so its articulation bit must be set.
         col[:, 1] |= col[:, 0] & ~prev_play
@@ -415,12 +420,3 @@ def generate(params: BiaxialParams, cfg, steps: int, rng,
                                np.array([j]))[0]
         top, states = nn.stack_step(params.timewise, feats, states)
     return NoteStateMatrix(out, cfg.note_low, cfg.steps_per_measure)
-
-
-def _sample_single_column(params: BiaxialParams, top: np.ndarray, rng):
-    """Sample one column (N, 2) given the time scan's top output (N, H)."""
-    n, hidden = top.shape
-    xs = np.empty((n, 1, hidden + 2))
-    xs[:, 0, :hidden] = top
-    samples = _sample_note_scan(params, xs, rng)
-    return samples[:, 0, :].astype(np.uint8)

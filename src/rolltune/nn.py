@@ -378,57 +378,30 @@ def _gate_gradients(cache, wh, dstream, ws=None):
     return dz_all
 
 
-def dropout_mask(shape, keep_prob, rng, training=True):
+def dropout_mask(shape, keep_prob, rng):
     """Binary keep mask scaled by 1/keep_prob (inverted dropout).
 
-    keep_prob is the probability an activation is kept. Outside
-    training the mask is all ones so inference sees the full signal.
+    keep_prob is the probability an activation is kept; at 1 the mask
+    is all ones.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return np.ones(shape)
     return (rng.random(shape) < keep_prob).astype(np.float64) / keep_prob
 
 
 @dataclass
-class AdadeltaState:
-    """Running averages for one parameter array."""
-
-    avg_sq_grad: np.ndarray
-    avg_sq_delta: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, param):
-        return cls(np.zeros_like(param), np.zeros_like(param))
-
-
-def adadelta_update(param, grad, state, rho=0.95, eps=1e-6, lr=1.0):
-    """One Adadelta step, in place.
+class Adadelta:
+    """Adadelta over a named set of parameter arrays. states maps each
+    name to its running averages (avg_sq_grad, avg_sq_delta), updated
+    in place with the parameter:
 
     avg_sq_grad  <- rho * avg_sq_grad  + (1 - rho) * grad^2
     delta        <- -sqrt(avg_sq_delta + eps) / sqrt(avg_sq_grad + eps) * grad
     avg_sq_delta <- rho * avg_sq_delta + (1 - rho) * delta^2
     param        <- param + lr * delta
-
-    Rejects non-finite gradients before touching any state.
     """
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError(
-            "gradient contains NaN or infinite entries; step rejected")
-    state.avg_sq_grad *= rho
-    state.avg_sq_grad += (1.0 - rho) * grad * grad
-    delta = -np.sqrt(state.avg_sq_delta + eps) / \
-        np.sqrt(state.avg_sq_grad + eps) * grad
-    state.avg_sq_delta *= rho
-    state.avg_sq_delta += (1.0 - rho) * delta * delta
-    param += lr * delta
-    return param, state
-
-
-@dataclass
-class Adadelta:
-    """Adadelta over a named set of parameter arrays."""
 
     rho: float = 0.95
     eps: float = 1e-6
@@ -444,12 +417,20 @@ class Adadelta:
                 raise NonFiniteGradientError(
                     f"gradient {name} contains NaN or infinite entries; "
                     "step rejected")
+        rho, eps = self.rho, self.eps
         for name, grad in grads.items():
             param = params[name]
             if name not in self.states:
-                self.states[name] = AdadeltaState.zeros_like(param)
-            adadelta_update(param, grad, self.states[name],
-                            self.rho, self.eps, self.lr)
+                self.states[name] = (np.zeros_like(param),
+                                     np.zeros_like(param))
+            avg_sq_grad, avg_sq_delta = self.states[name]
+            avg_sq_grad *= rho
+            avg_sq_grad += (1.0 - rho) * grad * grad
+            delta = -np.sqrt(avg_sq_delta + eps) / \
+                np.sqrt(avg_sq_grad + eps) * grad
+            avg_sq_delta *= rho
+            avg_sq_delta += (1.0 - rho) * delta * delta
+            param += self.lr * delta
 
 
 def finite_difference_gradients(f, params: dict, eps=1e-5):

@@ -19,13 +19,14 @@ identity, so its rankings initially match the primed model exactly.
 
 States travel in batches. A TrunkSnapshot holds B states: per layer the
 recurrent cells as (B * n_notes, hidden) arrays, the B columns about to
-be consumed, their measure positions, and the melody row sounding in
-each (SILENT for none). trunk_scores advances all B in one timewise step
-and one note-axis scan, with no Python loop over states. tune acts on
-B=1 snapshots and stacks sampled replay states into one batch; rollout
-and sample_primed_melody play their songs in lockstep, one trunk_scores
-call per step for every song in flight, at most SONGS_IN_FLIGHT songs at
-a time so a long eval stays bounded in memory.
+be consumed and their measure positions. A column's play bit on a
+melody row is the note that sounds there; action_columns keeps at most
+one. trunk_scores advances all B in one timewise step and one note-axis
+scan, with no Python loop over states. tune acts on B=1 snapshots and
+stacks sampled replay states into one batch; rollout and
+sample_primed_melody play their songs in lockstep, one trunk_scores call
+per step for every song in flight, at most SONGS_IN_FLIGHT songs at a
+time so a long eval stays bounded in memory.
 
 Replay stores, per transition, the trunk cells from collection time;
 updates re-run only the final step from those cells (they are treated
@@ -50,7 +51,6 @@ from .theory import theory_reward
 
 N_MELODY_ROWS = MELODY_HIGH - MELODY_LOW + 1
 LN2 = float(np.log(2.0))
-SILENT = -1              # sounding row of a state with no melody note
 SONGS_IN_FLIGHT = 64     # lockstep songs scored per trunk_scores call
 
 
@@ -64,40 +64,36 @@ def melody_rows(note_low: int, n_notes: int) -> slice:
     return slice(lo, lo + N_MELODY_ROWS)
 
 
-def next_sounding(actions, sounding) -> np.ndarray:
-    """Melody rows sounding after B actions taken where the rows
-    `sounding` were; SILENT means silence."""
-    actions = np.asarray(actions)
-    return np.where(actions >= 2, actions - 2,
-                    np.where(actions == MELODY_NOTE_OFF, SILENT, sounding))
-
-
-def action_columns(actions, sounding, note_low: int,
-                   n_notes: int) -> np.ndarray:
-    """Roll columns (B, n_notes, 2) realized by B actions taken where
-    the melody rows `sounding` were."""
+def action_columns(actions, prev_cols: np.ndarray,
+                   note_low: int) -> np.ndarray:
+    """Roll columns (B, n_notes, 2) realized by B actions taken after
+    the columns prev_cols. An onset strikes its row, a hold keeps the
+    previous column's melody note sounding unarticulated, and a note-off
+    is silence. This is the one rule for what an action leaves
+    sounding."""
+    n_notes = prev_cols.shape[1]
     rows = melody_rows(note_low, n_notes)
-    actions, sounding = np.asarray(actions), np.asarray(sounding)
+    actions = np.asarray(actions)
     cols = np.zeros((len(actions), n_notes, 2))
     onset = np.flatnonzero(actions >= 2)
     cols[onset, rows.start + actions[onset] - 2] = 1.0
-    held = np.flatnonzero((actions == MELODY_NO_EVENT) & (sounding != SILENT))
-    cols[held, rows.start + sounding[held], 0] = 1.0
+    held = np.flatnonzero(actions == MELODY_NO_EVENT)
+    cols[held, rows, 0] = prev_cols[held, rows, 0]
     return cols
 
 
 @dataclass
 class TrunkSnapshot:
     """B states, materialized for scoring and replay: per state the
-    recurrent cells before its last column, that column with its measure
-    position, and the melody row left sounding after it. Advancing the
-    cells through the columns reproduces the trunk output that scores
-    each state's actions. State k owns rows k*N..(k+1)*N of the cells."""
+    recurrent cells before its last column, and that column with its
+    measure position. The column's melody play bit is the note left
+    sounding. Advancing the cells through the columns reproduces the
+    trunk output that scores each state's actions. State k owns rows
+    k*N..(k+1)*N of the cells."""
 
     cells: list              # per layer (h, c), each (B * n_notes, hidden)
     col: np.ndarray          # (B, n_notes, 2)
     pos: np.ndarray          # (B,) measure positions
-    sounding: np.ndarray     # (B,) melody rows, SILENT for none
 
     def __len__(self):
         return self.col.shape[0]
@@ -115,8 +111,7 @@ class TrunkSnapshot:
             for j, cell in enumerate(pair))
             for li, pair in enumerate(snapshots[0].cells)]
         return cls(cells, np.concatenate([s.col for s in snapshots]),
-                   np.concatenate([s.pos for s in snapshots]),
-                   np.concatenate([s.sounding for s in snapshots]))
+                   np.concatenate([s.pos for s in snapshots]))
 
     def advance(self, cells: list, actions, step: int,
                 note_low: int) -> "TrunkSnapshot":
@@ -124,11 +119,9 @@ class TrunkSnapshot:
         cells trunk_scores advanced through this snapshot's columns. The
         snapshot keeps copies: the cells are views into the scan's
         buffers, which a replay entry should not keep alive."""
-        n_notes = self.col.shape[1]
-        return TrunkSnapshot(
-            [(h.copy(), c.copy()) for h, c in cells],
-            action_columns(actions, self.sounding, note_low, n_notes),
-            np.full(len(self), step), next_sounding(actions, self.sounding))
+        return TrunkSnapshot([(h.copy(), c.copy()) for h, c in cells],
+                             action_columns(actions, self.col, note_low),
+                             np.full(len(self), step))
 
 
 @dataclass
@@ -183,7 +176,7 @@ def fresh_snapshot(trunk: BiaxialParams, n_notes: int,
               np.zeros((songs * n_notes, lay.hidden_size)))
              for lay in trunk.timewise]
     return TrunkSnapshot(cells, np.zeros((songs, n_notes, 2)),
-                         np.full(songs, -1), np.full(songs, SILENT))
+                         np.full(songs, -1))
 
 
 def trunk_scores(trunk: BiaxialParams, note_low: int,
@@ -214,14 +207,13 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     la = nn.log_sigmoid(mel[:, :, 1])
     lna = nn.log_sigmoid(-mel[:, :, 1])
     silent = lnp.sum(axis=0)
-    sounding = snapshot.sounding
-    held = sounding != SILENT
-    m, k = np.where(held, sounding, 0), np.arange(b)
+    play = snapshot.col[:, rows, 0]
+    held, m, k = play.any(axis=1), play.argmax(axis=1), np.arange(b)
     scores = np.empty((b, MELODY_ACTIONS))
     scores[:, 2:] = (lp + la).T
     scores[:, MELODY_NO_EVENT] = np.where(held, lp[m, k] + lna[m, k], silent)
     scores[:, MELODY_NOTE_OFF] = np.where(held, silent, silent - LN2)
-    cache = (t_caches, n_caches, stream_n, logits, sounding, rows)
+    cache = (t_caches, n_caches, stream_n, logits, held, m, rows)
     return scores, finals, cache
 
 
@@ -230,17 +222,17 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     """Gradients of a scalar through trunk_scores, given d(scores):
     d(logits) on the melody rows, then model.backward on the workspace
     the scores were computed with."""
-    t_caches, n_caches, stream_n, logits, sounding, rows = cache
-    b, n_mel = len(sounding), rows.stop - rows.start
+    t_caches, n_caches, stream_n, logits, held, m, rows = cache
+    b, n_mel = len(held), rows.stop - rows.start
     d_hold = dscores[:, MELODY_NO_EVENT]
-    held = np.flatnonzero(sounding != SILENT)
     dlp = np.ascontiguousarray(dscores[:, 2:].T)
     dla = dlp.copy()
-    dlnp = np.tile(dscores[:, MELODY_NOTE_OFF]
-                   + np.where(sounding != SILENT, 0.0, d_hold), (n_mel, 1))
+    dlnp = np.tile(dscores[:, MELODY_NOTE_OFF] + np.where(held, 0.0, d_hold),
+                   (n_mel, 1))
     dlna = np.zeros((n_mel, b))
-    dlp[sounding[held], held] += d_hold[held]
-    dlna[sounding[held], held] = d_hold[held]
+    k = np.flatnonzero(held)
+    dlp[m[k], k] += d_hold[k]
+    dlna[m[k], k] = d_hold[k]
     mel = logits[:, rows, 0].transpose(1, 0, 2)
     sig_p = nn.sigmoid(mel[:, :, 0])
     sig_a = nn.sigmoid(mel[:, :, 1])
@@ -498,9 +490,13 @@ def tune(primed: BiaxialParams, cfg, rng):
             history.append(action)
 
         if len(buffer) >= cfg.rl_batch_size:
-            q_update(buffer.sample(cfg.rl_batch_size, rng), qnet, target,
-                     cfg.gamma, optimizer, double_q=cfg.double_q,
-                     ws=update_ws)
+            try:
+                q_update(buffer.sample(cfg.rl_batch_size, rng), qnet, target,
+                         cfg.gamma, optimizer, double_q=cfg.double_q,
+                         ws=update_ws)
+            except nn.NonFiniteGradientError as exc:
+                raise nn.NonFiniteGradientError(
+                    f"iteration {it}: {exc}") from exc
             target_sync(qnet.params(), target.params(), cfg.eta)
     return qnet, trace
 

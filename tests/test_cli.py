@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface, driven in-process
 through cli.main so exit codes and artifacts can be asserted."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import helpers
-from rolltune import checkpoint, cli, metrics, midiio, model
+from rolltune import checkpoint, cli, metrics, midiio, model, tuner
 from rolltune.config import RunConfig
 from rolltune.midiio import MELODY_ACTIONS
 
@@ -18,6 +19,19 @@ TINY_CONFIG = {
     "gen_steps": 16, "rl_iterations": 6, "rl_batch_size": 2,
     "replay_capacity": 16, "episode_len": 8, "eval_songs": 3,
 }
+
+
+def nan_at_call(fn, k):
+    """fn, except that its k-th call (from 0) returns a NaN in the first
+    array of its gradient dict, the last item it returns."""
+    calls = itertools.count()
+
+    def poisoned(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if next(calls) == k:
+            next(iter(out[-1].values())).flat[0] = np.nan
+        return out
+    return poisoned
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +144,20 @@ class TestTrain:
         assert len(corpus) == 1
 
 
+    def test_rejected_step_names_its_iteration(self, workdir, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(model, "loss_gradients",
+                            nan_at_call(model.loss_gradients, 1))
+        out = workdir / "nan.ckpt"
+        rc = cli.main(["train", "--data", str(workdir / "corpus"),
+                       "--config", str(workdir / "cfg.json"),
+                       "--seed", "5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "iteration 1:" in err and "step rejected" in err
+        assert not out.exists()
+
+
 class TestGenerate:
 
     def test_writes_a_parseable_roll_of_requested_length(self, workdir,
@@ -219,6 +247,22 @@ class TestTune:
                        "--out", str(workdir / "no2.mid")])
         assert rc != 0
         assert "qnet" in capsys.readouterr().err
+
+
+    def test_rejected_update_names_its_iteration(self, workdir, capsys,
+                                                 trained_ckpt, monkeypatch):
+        # with rl_batch_size 2 the first update runs at iteration 1, so
+        # the third update runs at iteration 3
+        monkeypatch.setattr(tuner, "q_loss_gradients",
+                            nan_at_call(tuner.q_loss_gradients, 2))
+        out = workdir / "nan_tuned.ckpt"
+        rc = cli.main(["tune", "--ckpt", str(trained_ckpt),
+                       "--config", str(workdir / "cfg.json"),
+                       "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "iteration 3:" in err and "step rejected" in err
+        assert not out.exists()
 
 
 class TestEval:

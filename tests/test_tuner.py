@@ -16,6 +16,35 @@ from rolltune.midiio import (MELODY_ACTIONS, MELODY_NO_EVENT,
 from rolltune.theory import theory_reward
 
 LN2 = math.log(2.0)
+SILENT = -1     # melody row of a state where nothing sounds
+
+
+def next_sounding(actions, sounding) -> np.ndarray:
+    """The melody rule, as an oracle for the columns the tuner builds:
+    the rows sounding after B actions taken where the rows `sounding`
+    were. An onset sounds its row, a note-off silences, a hold keeps
+    what sounded."""
+    actions = np.asarray(actions)
+    return np.where(actions >= 2, actions - 2,
+                    np.where(actions == MELODY_NOTE_OFF, SILENT, sounding))
+
+
+def sounding_rows(cols, note_low=48) -> np.ndarray:
+    """Melody row sounding in each of B columns, SILENT for none;
+    asserts that no column sounds two melody rows."""
+    play = cols[:, tuner.melody_rows(note_low, cols.shape[1]), 0]
+    assert np.all(play.sum(axis=1) <= 1)
+    return np.where(play.any(axis=1), play.argmax(axis=1), SILENT)
+
+
+def held_columns(sounding, note_low=48, n_notes=36) -> np.ndarray:
+    """(B, n_notes, 2) columns sounding the melody rows `sounding`
+    unarticulated, silent where SILENT."""
+    sounding = np.asarray(sounding)
+    cols = np.zeros((len(sounding), n_notes, 2))
+    on = np.flatnonzero(sounding != SILENT)
+    cols[on, tuner.melody_rows(note_low, n_notes).start + sounding[on], 0] = 1
+    return cols
 
 
 def primed_params(rng, timewise=(6,), notewise=(5,), scale=0.3):
@@ -39,12 +68,11 @@ def random_snapshot(rng, params, note_low=48, n_notes=36):
     cells = [(rng.normal(0.0, 0.5, (n_notes, lay.hidden_size)),
               rng.normal(0.0, 0.5, (n_notes, lay.hidden_size)))
              for lay in params.timewise]
-    prev = tuner.SILENT if rng.random() < 0.3 else int(rng.integers(36))
+    prev = SILENT if rng.random() < 0.3 else int(rng.integers(36))
     action = [int(rng.integers(MELODY_ACTIONS))]
-    col = tuner.action_columns(action, [prev], note_low, n_notes)
-    sounding = tuner.next_sounding(action, [prev])
-    return tuner.TrunkSnapshot(cells, col, np.array([rng.integers(32)]),
-                               sounding)
+    col = tuner.action_columns(
+        action, held_columns([prev], note_low, n_notes), note_low)
+    return tuner.TrunkSnapshot(cells, col, np.array([rng.integers(32)]))
 
 
 def reference_scores(params, note_low, snap):
@@ -81,11 +109,12 @@ def reference_scores(params, note_low, snap):
     for m in range(rows.stop - rows.start):
         r = rows.start + m
         scores[2 + m] = lsig(logits[r, 0]) + lsig(logits[r, 1])
-    if snap.sounding[0] == tuner.SILENT:
+    sounding = sounding_rows(snap.col, note_low)[0]
+    if sounding == SILENT:
         scores[MELODY_NO_EVENT] = silent
         scores[MELODY_NOTE_OFF] = silent - LN2
     else:
-        r0 = rows.start + snap.sounding[0]
+        r0 = rows.start + sounding
         scores[MELODY_NO_EVENT] = lsig(logits[r0, 0]) + lsig(-logits[r0, 1])
         scores[MELODY_NOTE_OFF] = silent
     cells = [(np.stack(hs), np.stack(cs)) for hs, cs in finals]
@@ -110,21 +139,23 @@ class TestMelodyRows:
 
 
 def column(action, sounding, note_low=48, n_notes=36):
-    """The roll column one action realizes, through the batched call."""
-    return tuner.action_columns([action], [sounding], note_low, n_notes)[0]
+    """The roll column one action realizes after a column sounding the
+    melody row `sounding`, through the batched call."""
+    return tuner.action_columns(
+        [action], held_columns([sounding], note_low, n_notes), note_low)[0]
 
 
 class TestActionColumns:
 
     def test_onset_sets_play_and_articulate(self):
-        col = column(2, tuner.SILENT)
+        col = column(2, SILENT)
         assert col[0, 0] == 1.0 and col[0, 1] == 1.0
         assert col.sum() == 2.0
-        top = column(37, tuner.SILENT)
+        top = column(37, SILENT)
         assert top[35, 0] == 1.0 and top[35, 1] == 1.0
 
     def test_onset_respects_note_range_offset(self):
-        col = column(2, tuner.SILENT, 21, 88)
+        col = column(2, SILENT, 21, 88)
         assert col[27, 0] == 1.0 and col[27, 1] == 1.0
 
     def test_hold_continues_the_sounding_note(self):
@@ -133,25 +164,73 @@ class TestActionColumns:
         assert col.sum() == 1.0
 
     def test_hold_in_silence_is_an_empty_column(self):
-        assert column(MELODY_NO_EVENT, tuner.SILENT).sum() == 0
+        assert column(MELODY_NO_EVENT, SILENT).sum() == 0
 
     def test_note_off_silences_everything(self):
         assert column(MELODY_NOTE_OFF, 7).sum() == 0
 
+    def test_hold_after_an_onset_drops_the_articulation(self):
+        col = tuner.action_columns([MELODY_NO_EVENT],
+                                   column(9, SILENT)[None], 48)[0]
+        np.testing.assert_array_equal(col, column(MELODY_NO_EVENT, 7))
+
     def test_next_sounding_transitions(self):
-        got = tuner.next_sounding(
-            [2, 37, MELODY_NO_EVENT, MELODY_NO_EVENT, MELODY_NOTE_OFF],
-            [tuner.SILENT, 4, 9, tuner.SILENT, 9])
-        assert got.tolist() == [0, 35, 9, tuner.SILENT, tuner.SILENT]
+        actions = [2, 37, MELODY_NO_EVENT, MELODY_NO_EVENT, MELODY_NOTE_OFF]
+        before = [SILENT, 4, 9, SILENT, 9]
+        expected = [0, 35, 9, SILENT, SILENT]
+        assert next_sounding(actions, before).tolist() == expected
+        cols = tuner.action_columns(actions, held_columns(before), 48)
+        assert sounding_rows(cols).tolist() == expected
 
     def test_batch_matches_one_action_at_a_time(self):
         rng = np.random.default_rng(6)
         actions = rng.integers(MELODY_ACTIONS, size=40)
         sounding = rng.integers(-1, 36, size=40)
-        cols = tuner.action_columns(actions, sounding, 48, 36)
+        cols = tuner.action_columns(actions, held_columns(sounding), 48)
         for k in range(40):
             np.testing.assert_array_equal(
                 cols[k], column(actions[k], sounding[k]))
+
+
+def random_actions(rng, size):
+    """Melody actions weighted so holds and note-offs come often."""
+    p = np.full(MELODY_ACTIONS, 0.5 / (MELODY_ACTIONS - 2))
+    p[MELODY_NO_EVENT], p[MELODY_NOTE_OFF] = 0.35, 0.15
+    return rng.choice(MELODY_ACTIONS, size=size, p=p)
+
+
+class TestSoundingRule:
+    """The column a snapshot holds is its whole melody state: the row it
+    sounds follows the next_sounding oracle along any action chain, and
+    trunk_scores reads that row back."""
+
+    def test_advance_follows_the_oracle_over_random_chains(self):
+        rng = np.random.default_rng(31)
+        params = primed_params(rng)
+        fresh = tuner.fresh_snapshot(params, 36, 6)
+        mid_rows = rng.integers(-1, 36, size=6)
+        mid = tuner.TrunkSnapshot(fresh.cells, held_columns(mid_rows),
+                                  np.full(6, 5))
+        for snap, sounding in ((fresh, np.full(6, SILENT)), (mid, mid_rows)):
+            for step in range(60):
+                actions = random_actions(rng, len(snap))
+                snap = snap.advance(snap.cells, actions, step, 48)
+                sounding = next_sounding(actions, sounding)
+                assert sounding_rows(snap.col).tolist() == sounding.tolist()
+
+    def test_trunk_scores_reads_the_row_the_chain_left(self):
+        rng = np.random.default_rng(32)
+        params = primed_params(rng)
+        snap = tuner.fresh_snapshot(params, 36, 8)
+        sounding = np.full(8, SILENT)
+        for step in range(12):
+            _, cells, cache = tuner.trunk_scores(params, 48, snap)
+            held, m = cache[4], cache[5]
+            np.testing.assert_array_equal(held, sounding != SILENT)
+            np.testing.assert_array_equal(m[held], sounding[held])
+            actions = random_actions(rng, len(snap))
+            snap = snap.advance(cells, actions, step, 48)
+            sounding = next_sounding(actions, sounding)
 
 
 class TestProjection:
@@ -174,9 +253,9 @@ class TestProjection:
         snaps = [random_snapshot(rng, params) for _ in range(8)]
         fresh = tuner.fresh_snapshot(params, 36)
         held = random_snapshot(rng, params)
-        held.sounding = np.array([17])
+        held.col = held_columns([17])
         snaps += [fresh, held]
-        silent = [s.sounding[0] == tuner.SILENT for s in snaps]
+        silent = [sounding_rows(s.col)[0] == SILENT for s in snaps]
         assert any(silent) and not all(silent)
         batch = tuner.TrunkSnapshot.stack(snaps)
         assert len(batch) == len(snaps)
@@ -202,7 +281,7 @@ class TestProjection:
     def test_zero_model_sounding_state_scores(self):
         params = zero_params()
         snap = tuner.fresh_snapshot(params, 36)
-        snap.sounding = np.array([11])
+        snap.col = held_columns([11])
         scores, _, _ = tuner.trunk_scores(params, 48, snap)
         assert scores[0, MELODY_NO_EVENT] == -2.0 * LN2
         np.testing.assert_allclose(scores[0, MELODY_NOTE_OFF], -36.0 * LN2,
@@ -734,10 +813,12 @@ class TestTune:
                     assert not h.any() and not c.any()
                 assert not state.col.any()
                 assert state.pos.tolist() == [-1]
-                assert state.sounding.tolist() == [tuner.SILENT]
             else:
                 assert state is appended[k - 1].next_state
             assert transition.next_state.pos.tolist() == [step]
+            assert sounding_rows(transition.next_state.col).tolist() == \
+                next_sounding([transition.action],
+                              sounding_rows(state.col)).tolist()
             assert row[3] == theory_reward(history, transition.action,
                                            cfg).total
             history.append(transition.action)
