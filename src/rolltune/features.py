@@ -19,16 +19,31 @@ single columns on the fly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .midiio import NoteStateMatrix
 from .nn import buffer
 
 FEATURE_WIDTH = 80
 VICINITY_RADIUS = 12
 _VICINITY = 2 * VICINITY_RADIUS + 1
 _BEAT_PERIOD = 16
+
+
+@lru_cache(maxsize=None)
+def _constants(note_low: int, n: int):
+    """The parts of an expansion that depend only on the note range,
+    read-only: the scaled MIDI column (N,), the pitch-class one-hot
+    (N, 12) and the beat-bit table (16, 4) by step mod 16."""
+    midi = note_low + np.arange(n)
+    beat_bits = (np.arange(_BEAT_PERIOD)[:, None] >> np.arange(4)) & 1
+    consts = (midi / 128.0, np.eye(12)[midi % 12],
+              beat_bits.astype(np.float64))
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
 
 
 def expand_columns(columns: np.ndarray, note_low: int,
@@ -43,11 +58,10 @@ def expand_columns(columns: np.ndarray, note_low: int,
     """
     columns = np.asarray(columns, dtype=np.float64)
     r, n, _ = columns.shape
+    midi_scaled, pitch_class, beat_bits = _constants(note_low, n)
     out = buffer(ws, "features", (r, n, FEATURE_WIDTH))
     out[:, :, FEATURE_WIDTH - 1] = 0.0
-    midi = note_low + np.arange(n)
-    out[:, :, 0] = midi / 128.0
-    pitch_class = np.eye(12)[midi % 12]                  # (N, 12) one-hot
+    out[:, :, 0] = midi_scaled
     out[:, :, 1:13] = pitch_class
 
     # Row j's vicinity is the 50 values of the padded, flattened column
@@ -61,19 +75,8 @@ def expand_columns(columns: np.ndarray, note_low: int,
     out[:, :, 63:75] = (columns[:, :, 0] @ pitch_class)[:, None, :]
 
     beat = np.mod(np.asarray(positions, dtype=np.int64), _BEAT_PERIOD)
-    out[:, :, 75:79] = ((beat[:, None] >> np.arange(4)) & 1)[:, None, :]
+    out[:, :, 75:79] = beat_bits[beat][:, None, :]
     return out
-
-
-def expand(matrix: NoteStateMatrix) -> np.ndarray:
-    """Expand a whole piano roll to (N, T, FEATURE_WIDTH).
-
-    Step 0 of the matrix is taken to sit on a measure boundary.
-    """
-    cols = np.transpose(matrix.data, (1, 0, 2))       # (T, N, 2)
-    feats = expand_columns(cols, matrix.note_low,
-                           np.arange(matrix.n_steps))
-    return np.transpose(feats, (1, 0, 2))             # (N, T, 80)
 
 
 def expand_batch(batch: np.ndarray, note_low: int, ws=None) -> np.ndarray:

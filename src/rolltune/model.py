@@ -123,15 +123,37 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
 
     Notes never interact here; permuting them permutes outputs. feats
     laid out time-major in memory, as expand_batch returns them, are
-    scanned in place.
+    scanned in place. The top output, after its dropout mask, is written
+    in one pass into the first H_top columns of the note scan's input
+    array, where notewise_pass on the same workspace finds it; the
+    returned (B, N, T, H_top) array is that view.
     """
     b, n, t, f = feats.shape
     xs = np.ascontiguousarray(
         feats.transpose(2, 0, 1, 3)).reshape(t, b * n, f)
-    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=keep_masks,
+    top_mask = None if keep_masks is None else keep_masks[-1]
+    below = None if keep_masks is None else [*keep_masks[:-1], None]
+    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=below,
                                          ws=nn.scope(ws, "timewise"))
-    out = stream.reshape(t, b, n, -1).transpose(1, 2, 0, 3)
+    # masked here rather than by the scan, so the cache still carries
+    # the mask stack_backward applies to the top gradient
+    caches[-1].mask = top_mask
+    hidden = stream.shape[-1]
+    out = _note_inputs(ws, b, n, t, hidden)[1][..., :hidden]
+    top = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
+    if top_mask is None:
+        out[...] = top
+    else:
+        np.multiply(top, top_mask.reshape(b, n, 1, hidden), out=out)
     return out, caches
+
+
+def _note_inputs(ws, b, n, t, hidden):
+    """The note scan's input (N, B*T, H+2), each note's time output
+    followed by its feedback pair, and the same memory by song as
+    (B, N, T, H+2)."""
+    xs = nn.buffer(ws, "note_inputs", (n, b * t, hidden + 2))
+    return xs, xs.reshape(n, b, t, hidden + 2).transpose(1, 0, 2, 3)
 
 
 def _to_note_major(tensor: np.ndarray) -> np.ndarray:
@@ -179,14 +201,17 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     shapes (B, N, T, 2); cache backpropagates through the realized
     inputs, treating feedback pairs as constants. The scan input, each
     note's time output followed by its feedback pair, is written
-    note-major into one (N, B*T, H+2) array.
+    note-major into one (N, B*T, H+2) array; a timewise_pass output on
+    the same workspace already sits there and is not copied.
     """
     b, n, t, hidden = timewise_out.shape
-    xs = nn.buffer(ws, "note_inputs", (n, b * t, hidden + 2))
-    by_song = xs.reshape(n, b, t, hidden + 2)
-    by_song[..., :hidden] = timewise_out.transpose(1, 0, 2, 3)
+    xs, by_song = _note_inputs(ws, b, n, t, hidden)
+    # numpy returns at once when assigning a view to itself
+    by_song[..., :hidden] = timewise_out
     if targets is not None:
-        by_song[..., hidden:] = teacher_feedback(targets).transpose(1, 0, 2, 3)
+        # one step has no next column to feed back
+        by_song[..., hidden:] = (0.0 if t == 1
+                                 else teacher_feedback(targets))
         samples = None
     else:
         if rng is None:
@@ -297,7 +322,8 @@ def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
     and the caches of a timewise and a notewise pass. The time scan's
     input is the fixed features, so its gradient is skipped. With the
     nn.Workspace the passes ran on, the caches are spent (see
-    nn.stack_backward) and the gradients are fresh arrays."""
+    nn.stack_backward), the note scan's input included, and the
+    gradients are fresh arrays."""
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)
     grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
@@ -416,6 +442,8 @@ def generate(params: BiaxialParams, cfg, steps: int, rng,
         col[:, 1] |= col[:, 0] & ~prev_play
         prev_play = col[:, 0] > 0
         out[:, j] = col
+        if j == steps - 1:
+            break   # nothing reads the state after the last column
         feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
                                np.array([j]))[0]
         top, states = nn.stack_step(params.timewise, feats, states)

@@ -28,9 +28,12 @@ Conventions:
     kernel faulting in) tens of megabytes per iteration. A function
     given ws=... writes its scans, scratch and caches into the
     workspace, and every such array is valid until the next pass on
-    the same workspace; a backward pass also spends the caches it
-    reads. With ws=None (the default) every array is fresh. Gradient
-    blocks are fresh either way.
+    the same workspace. A backward pass on a workspace spends what it
+    reads: it writes the gate gradients over the cached gates, masks
+    the incoming gradient in place and writes the scan input's gradient
+    over the scan input. With ws=None (the default) every array is
+    fresh and nothing passed in is written. Gradient blocks are fresh
+    either way.
 """
 
 from __future__ import annotations
@@ -83,9 +86,11 @@ class Workspace:
     scanned with the same code keep apart.
 
     An array a pass returns or caches from its workspace is valid until
-    the next pass on the same workspace. Whatever must outlive a pass
-    (gradient blocks, returned values, states kept for later) is always
-    a fresh array.
+    the next pass on the same workspace, and a backward pass on it
+    spends the caches, the scan input and the incoming gradient it is
+    given (see stack_backward). Whatever must outlive a pass (gradient
+    blocks, returned values, states kept for later) is always a fresh
+    array.
     """
 
     def __init__(self):
@@ -298,9 +303,16 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     w.r.t. the original scan input, or None when input_grad is False
     (its product is then skipped). A layer's dict is keyed like
     GATE_FIELDS and holds row-block views of one packed gradient block,
-    which is always a fresh array. With a Workspace ws, dxs and the
-    scratch are ws's, and each step's gate gradient is written over the
-    cached gates it has just consumed, so the caches are spent.
+    which is always a fresh array.
+
+    With a Workspace ws the pass spends its operands: each step's gate
+    gradient is written over the cached gates it has just consumed,
+    each dropout mask is applied to the incoming gradient in place, so
+    dstream is spent, and once layer 0's weight gradient has read the
+    scan input xs, dxs is written over xs, so xs is spent too. An upper
+    layer's input gradient and the scratch are ws's arrays: that input
+    may be the h of the layer below, which its backward still reads as
+    h_prev.
     """
     grads_out = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
@@ -310,8 +322,8 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
         s_len, rows, _ = cache.gates.shape
         cache.h[0], cache.c[0] = cache.h0, cache.c0
         if cache.mask is not None:
-            dstream = np.multiply(dstream, cache.mask, out=buffer(
-                ws, ("dmasked", li), dstream.shape))
+            dstream = (np.multiply(dstream, cache.mask) if ws is None
+                       else np.multiply(dstream, cache.mask, out=dstream))
         flat_dz = _gate_gradients(cache, wh, dstream, ws).reshape(
             s_len * rows, 4 * hs)
         dw = np.empty_like(layer.w)
@@ -320,8 +332,10 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
         if li == 0 and not input_grad:
             return grads_out, None
-        dstream = np.matmul(flat_dz, wx, out=buffer(
-            ws, ("dinput", li), (s_len * rows, d))).reshape(s_len, rows, d)
+        out = (cache.inputs.reshape(s_len * rows, d)
+               if li == 0 and ws is not None
+               else buffer(ws, ("dinput", li), (s_len * rows, d)))
+        dstream = np.matmul(flat_dz, wx, out=out).reshape(s_len, rows, d)
     return grads_out, dstream
 
 

@@ -202,10 +202,9 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
         targets=np.zeros((b, n, 1, 2)), ws=ws)
     # (M, B, 2) over the note-major buffer, so sums run along melody rows
     mel = logits[:, rows, 0].transpose(1, 0, 2)
-    lp = nn.log_sigmoid(mel[:, :, 0])
-    lnp = nn.log_sigmoid(-mel[:, :, 0])
-    la = nn.log_sigmoid(mel[:, :, 1])
-    lna = nn.log_sigmoid(-mel[:, :, 1])
+    log_on, log_off = nn.log_sigmoid(mel), nn.log_sigmoid(-mel)
+    lp, la = log_on[:, :, 0], log_on[:, :, 1]
+    lnp, lna = log_off[:, :, 0], log_off[:, :, 1]
     silent = lnp.sum(axis=0)
     play = snapshot.col[:, rows, 0]
     held, m, k = play.any(axis=1), play.argmax(axis=1), np.arange(b)
@@ -251,9 +250,6 @@ class RewardModel:
     note_low: int
     n_notes: int
 
-    def start(self, songs: int = 1) -> TrunkSnapshot:
-        return fresh_snapshot(self.trunk, self.n_notes, songs)
-
     def log_dist(self, snapshot: TrunkSnapshot):
         """(B, 38) normalized log-probabilities over the actions, plus
         the advanced trunk cells for chaining the next snapshot."""
@@ -291,9 +287,6 @@ class MelodyQNetwork:
         out["head/w"] = self.head_w
         out["head/b"] = self.head_b
         return out
-
-    def start(self, songs: int = 1) -> TrunkSnapshot:
-        return fresh_snapshot(self.trunk, self.n_notes, songs)
 
     def q_batch(self, snapshots: list, ws=None):
         """(B, 38) Q-values for the states of a list of snapshots, in
@@ -461,7 +454,8 @@ def tune(primed: BiaxialParams, cfg, rng):
                             lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.replay_capacity)
     update_ws = nn.Workspace()
-    q_snapshot, r_snapshot, history = qnet.start(), reward_model.start(), []
+    q_snapshot = r_snapshot = fresh_snapshot(primed, cfg.n_notes)
+    history = []
     trace = []
     for it in range(cfg.rl_iterations):
         q_rows, q_cells = qnet.act(q_snapshot)
@@ -483,8 +477,8 @@ def tune(primed: BiaxialParams, cfg, rng):
         trace.append((it, reward, log_p, breakdown.total))
 
         if terminal:
-            q_snapshot, r_snapshot, history = (qnet.start(),
-                                               reward_model.start(), [])
+            q_snapshot = r_snapshot = fresh_snapshot(primed, cfg.n_notes)
+            history = []
         else:
             q_snapshot, r_snapshot = q_next, replace(q_next, cells=r_cells)
             history.append(action)
@@ -512,7 +506,8 @@ def _play(model, score, cfg, rng, songs, explore: dict):
         raise ValueError(f"songs must be positive, got {songs}")
     melodies = []
     for first in range(0, count, SONGS_IN_FLIGHT):
-        snapshot = model.start(min(SONGS_IN_FLIGHT, count - first))
+        snapshot = fresh_snapshot(model.trunk, model.n_notes,
+                                  min(SONGS_IN_FLIGHT, count - first))
         actions = np.empty((len(snapshot), cfg.episode_len), dtype=np.int64)
         for step in range(cfg.episode_len):
             scores, cells = score(snapshot)

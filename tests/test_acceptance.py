@@ -166,6 +166,7 @@ class TestAcceptance:
                f"finite differences: model {model_err:.2e}, "
                f"Q-network {q_err:.2e} in {elapsed:.0f}s")
 
+    @pytest.mark.slow
     def test_criterion_03_desk_training(self, desk):
         baseline = -desk["cfg"].n_notes * math.log(2.0)
         loglik = desk["history"][-1][2]
@@ -175,6 +176,7 @@ class TestAcceptance:
                f"{100 * improvement:.1f}% above the {baseline:.3f} baseline "
                f"in {desk['elapsed']:.0f}s")
 
+    @pytest.mark.slow
     def test_criterion_04_articulation_invariant(self, desk):
         steps = violations = 0
         for seed in (20, 21, 22, 23):
@@ -271,6 +273,7 @@ class TestAcceptance:
                "evaluate() equals the brute-force metric oracle on 50 "
                "random melodies, metric by metric")
 
+    @pytest.mark.slow
     def test_criterion_10_directional_improvement(self, desk, tuned):
         start = time.perf_counter()
         reward_model = tuner.RewardModel(desk["params"],
@@ -370,6 +373,7 @@ class TestAcceptance:
 
 class TestTuningTrend:
 
+    @pytest.mark.slow
     def test_blended_reward_improves_during_tuning(self, tuned):
         rewards = [row[1] for row in tuned["trace"]]
         early = float(np.mean(rewards[:500]))

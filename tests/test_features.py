@@ -39,6 +39,15 @@ def brute_force_column(column, note_low, position):
     return out
 
 
+def expand(matrix):
+    """Expand a whole piano roll to (N, T, 80), step 0 on a measure
+    boundary."""
+    cols = np.transpose(matrix.data, (1, 0, 2))       # (T, N, 2)
+    feats = features.expand_columns(cols, matrix.note_low,
+                                    np.arange(matrix.n_steps))
+    return np.transpose(feats, (1, 0, 2))
+
+
 def brute_force_expand(matrix):
     """The column oracle over every step of a roll, (N, T, 80)."""
     return np.stack([brute_force_column(matrix.data[:, t], matrix.note_low, t)
@@ -48,7 +57,7 @@ def brute_force_expand(matrix):
 class TestExpand:
     def test_all_silent(self):
         m = NoteStateMatrix(np.zeros((4, 3, 2), dtype=np.uint8), 60)
-        feats = features.expand(m)
+        feats = expand(m)
         assert feats.shape == (4, 3, 80)
         # only the static identity features and beat bits are nonzero
         assert feats[:, :, 13:75].sum() == 0
@@ -60,7 +69,7 @@ class TestExpand:
         row = 60 - 21
         data[row, 0] = (1, 1)
         m = NoteStateMatrix(data, 21)
-        feats = features.expand(m)
+        feats = expand(m)
         # the vicinity center pair of the sounding note reads (1, 1)
         center = 13 + 2 * 12
         assert feats[row, 0, center] == 1.0
@@ -76,19 +85,19 @@ class TestExpand:
         rng = np.random.default_rng(42)
         m = helpers.random_matrix(rng, n_notes=30, n_steps=33, note_low=40,
                                   density=0.2)
-        np.testing.assert_array_equal(features.expand(m),
+        np.testing.assert_array_equal(expand(m),
                                       brute_force_expand(m))
 
     def test_matches_brute_force_full_range(self):
         rng = np.random.default_rng(43)
         m = helpers.random_matrix(rng, n_notes=88, n_steps=17, note_low=21,
                                   density=0.1)
-        np.testing.assert_array_equal(features.expand(m),
+        np.testing.assert_array_equal(expand(m),
                                       brute_force_expand(m))
 
     def test_beat_bits_lsb_first(self):
         m = NoteStateMatrix(np.zeros((1, 20, 2), dtype=np.uint8), 60)
-        feats = features.expand(m)
+        feats = expand(m)
         for t in range(20):
             bits = feats[0, t, 75:79]
             assert int(sum(b * 2 ** k for k, b in enumerate(bits))) == t % 16
@@ -96,7 +105,7 @@ class TestExpand:
     def test_pad_lane_always_zero(self):
         rng = np.random.default_rng(44)
         m = helpers.random_matrix(rng, n_notes=12, n_steps=8)
-        assert features.expand(m)[:, :, 79].sum() == 0
+        assert expand(m)[:, :, 79].sum() == 0
 
     def test_translation_covariance_interior(self):
         # shifting content up k rows shifts vicinity rows and rotates the
@@ -109,8 +118,8 @@ class TestExpand:
         shifted_data = np.zeros_like(base.data)
         shifted_data[shift:] = base.data[:-shift]
         shifted = NoteStateMatrix(shifted_data, 30)
-        fa = features.expand(base)
-        fb = features.expand(shifted)
+        fa = expand(base)
+        fb = expand(shifted)
         for note in range(12 + shift, 40 - 12):
             np.testing.assert_array_equal(fb[note, :, 13:63],
                                           fa[note - shift, :, 13:63])
@@ -125,7 +134,7 @@ class TestExpand:
         batch = np.stack([m.data for m in mats])
         feats = features.expand_batch(batch, 50)
         for k, m in enumerate(mats):
-            np.testing.assert_array_equal(feats[k], features.expand(m))
+            np.testing.assert_array_equal(feats[k], expand(m))
 
     def test_negative_positions_wrap(self):
         cols = np.zeros((1, 4, 2))

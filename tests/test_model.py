@@ -274,6 +274,21 @@ class TestWorkspace:
                 assert np.shares_memory(a.gates, b.gates)
 
 
+    def test_desk_pass_holds_no_spent_copies(self):
+        """A desk-sized training pass (batch 4 x 36 notes x 32 steps,
+        one 24-unit layer per axis, keep_prob 0.75) keeps 18,118,656
+        bytes of workspace. The time stack's masked output lives only in
+        the note scan's input, masks apply to gradients in place, and
+        the note scan's input gradient is written over its input."""
+        rng = np.random.default_rng(27)
+        params = model.init_biaxial_params([24], [24], rng)
+        batch = small_batch(rng, b=4, n=36, t=32, note_low=48)
+        ws = nn.Workspace()
+        model.loss_gradients(params, batch, 48, rng=rng, keep_prob=0.75,
+                             ws=ws)
+        assert sum(arr.nbytes for arr in ws.arrays()) == 18_118_656
+
+
 class TestParamArrays:
 
     def test_round_trip_through_named_arrays(self):
@@ -453,6 +468,24 @@ class TestGenerate:
         b = model.generate(params, cfg, 24, np.random.default_rng(9))
         a.validate()
         assert a != b
+
+    def test_time_scan_stops_at_the_last_column(self, monkeypatch):
+        """The time scan consumes the seed and every generated column
+        but the last, whose next state nothing reads."""
+        rng = np.random.default_rng(26)
+        params = small_params(rng, timewise=(4,), notewise=(3,))
+        cfg = self.make_cfg(n_notes=10, note_low=55)
+        step, time_steps = nn.stack_step, []
+
+        def record(layers, *args, **kwargs):
+            if layers is params.timewise:
+                time_steps.append(1)
+            return step(layers, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "stack_step", record)
+        seed = random_matrix(rng, n_notes=10, n_steps=3, note_low=55)
+        model.generate(params, cfg, 5, np.random.default_rng(1), seed=seed)
+        assert len(time_steps) == 3 + 5 - 1
 
     def test_seed_note_range_must_match(self):
         params = zero_params((4,), (4,))

@@ -405,8 +405,11 @@ class TestWorkspace:
                 (h.copy(), c.copy()) for h, c in init]
             masks = [nn.dropout_mask((rows, hs), 0.5, rng)
                      for hs in hidden] if with_masks else None
-            stream, caches, finals = nn.stack_forward(layers, xs, init,
-                                                      masks, ws=ws)
+            # a workspace backward spends the scan input and the
+            # dstream it is given, so that pass gets copies of both
+            scan_in = xs.copy()
+            stream, caches, finals = nn.stack_forward(layers, scan_in,
+                                                      init, masks, ws=ws)
             ref_stream, ref_caches, ref_finals = reference_forward(
                 layers, xs, init, masks)
             np.testing.assert_array_equal(stream, ref_stream)
@@ -419,13 +422,15 @@ class TestWorkspace:
             held = [cache.gates for cache in caches]
 
             dstream = rng.normal(size=stream.shape)
-            grads, dxs = nn.stack_backward(layers, caches, dstream, ws=ws)
+            grads, dxs = nn.stack_backward(layers, caches, dstream.copy(),
+                                           ws=ws)
             ref_grads, ref_dxs = reference_backward(layers, ref_caches,
                                                     dstream)
             for got, want in zip(grads, ref_grads):
                 for name in nn.GATE_FIELDS:
                     np.testing.assert_array_equal(got[name], want[name])
             np.testing.assert_array_equal(dxs, ref_dxs)
+            assert np.shares_memory(dxs, scan_in)
             for got in grads:
                 for arr in got.values():
                     assert not any(np.shares_memory(arr, kept)

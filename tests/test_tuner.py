@@ -668,6 +668,26 @@ class TestUpdateWorkspace:
             for name, arr in nets[0].params().items():
                 np.testing.assert_array_equal(nets[1].params()[name], arr)
 
+    def test_two_layer_scores_backward_on_a_workspace_matches_fresh(self):
+        """Two layers per axis and no dropout: each upper layer's input
+        is the h of the layer below, which that layer's backward still
+        reads, so a workspace pass must leave it unwritten."""
+        rng = np.random.default_rng(13)
+        primed = primed_params(rng, timewise=(4, 3), notewise=(5, 4))
+        ws = nn.Workspace()
+        for _ in range(3):
+            snap = tuner.TrunkSnapshot.stack(
+                [random_snapshot(rng, primed) for _ in range(3)])
+            dscores = rng.normal(size=(3, MELODY_ACTIONS))
+            want_scores, _, cache = tuner.trunk_scores(primed, 48, snap)
+            want = tuner.trunk_scores_backward(primed, cache, dscores)
+            scores, _, cache = tuner.trunk_scores(primed, 48, snap, ws)
+            got = tuner.trunk_scores_backward(primed, cache, dscores, ws)
+            np.testing.assert_array_equal(scores, want_scores)
+            assert set(got) == set(want)
+            for name, grad in want.items():
+                np.testing.assert_array_equal(got[name], grad)
+
     def test_replay_cells_are_own_arrays_outside_the_workspace(
             self, monkeypatch):
         appended, workspaces, held = [], [], []
@@ -867,12 +887,12 @@ class TestRollouts:
         assert many == [single] * 4
 
     @staticmethod
-    def _replay(start, score, melodies, uniforms, temperature):
+    def _replay(model, score, melodies, uniforms, temperature):
         """Replay each lockstep song on its own with B=1 scoring: every
         action must be the CDF inverse of its step's uniform."""
         assert uniforms.shape == (len(melodies[0]), len(melodies))
         for song, song_uniforms in zip(melodies, uniforms.T):
-            snap = start()
+            snap = tuner.fresh_snapshot(model.trunk, model.n_notes)
             for step, (action, u) in enumerate(zip(song, song_uniforms)):
                 scores, cells = score(snap)
                 assert action == cdf_inverse(scores[0] / temperature, u)
@@ -886,12 +906,12 @@ class TestRollouts:
         melodies = tuner.rollout(qnet, cfg, np.random.default_rng(5),
                                  greedy=False, songs=3)
         uniforms = np.random.default_rng(5).random((cfg.episode_len, 3))
-        self._replay(qnet.start, qnet.act, melodies, uniforms, 0.7)
+        self._replay(qnet, qnet.act, melodies, uniforms, 0.7)
         single = tuner.rollout(qnet, cfg, np.random.default_rng(5),
                                greedy=False)
         # the single song is the B=1 case: its uniforms run down one column
         assert single[0] == melodies[0][0]
-        self._replay(qnet.start, qnet.act, [single],
+        self._replay(qnet, qnet.act, [single],
                      np.random.default_rng(5).random((cfg.episode_len, 1)),
                      0.7)
 
@@ -904,7 +924,7 @@ class TestRollouts:
                                               np.random.default_rng(8),
                                               songs=4)
         uniforms = np.random.default_rng(8).random((cfg.episode_len, 4))
-        self._replay(rm.start, rm.log_dist, melodies, uniforms, 1.0)
+        self._replay(rm, rm.log_dist, melodies, uniforms, 1.0)
 
     def test_more_songs_than_in_flight(self):
         rng = np.random.default_rng(0)
