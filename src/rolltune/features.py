@@ -22,7 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import buffer
 
@@ -64,12 +63,15 @@ def expand_columns(columns: np.ndarray, note_low: int,
     out[:, :, 0] = midi_scaled
     out[:, :, 1:13] = pitch_class
 
-    # Row j's vicinity is the 50 values of the padded, flattened column
-    # starting at pair j, so it is one window of a sliding view.
+    # Row j's vicinity is the 50 contiguous values of the padded column
+    # starting at pair j: a read-only view with the padded array's own
+    # strides, one pair apart per row, and nothing copied.
     padded = np.zeros((r, n + 2 * VICINITY_RADIUS, 2))
     padded[:, VICINITY_RADIUS:VICINITY_RADIUS + n] = columns
-    out[:, :, 13:63] = sliding_window_view(
-        padded.reshape(r, -1), 2 * _VICINITY, axis=1)[:, ::2]
+    vicinity = np.ndarray((r, n, 2 * _VICINITY), np.float64, padded, 0,
+                          padded.strides)
+    vicinity.flags.writeable = False
+    out[:, :, 13:63] = vicinity
 
     # Summing 0/1 play bits is exact in any order.
     out[:, :, 63:75] = (columns[:, :, 0] @ pitch_class)[:, None, :]

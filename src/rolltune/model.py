@@ -233,18 +233,20 @@ def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
     feeding it to the next. xs (N, R, H + 2) holds the time scan's
     output in its first H columns; the last two of xs[n] are filled
     with the pair sampled at note n-1 (zeros at note 0), so xs ends up
-    the scan's realized input. Returns the samples (N, R, 2)."""
+    the scan's realized input. Each note is one step of an
+    nn.StackStepper, so the scan allocates its buffers once. Returns
+    the samples (N, R, 2)."""
     n, r, _ = xs.shape
-    states = [(np.zeros((r, lay.hidden_size)), np.zeros((r, lay.hidden_size)))
-              for lay in params.notewise]
+    stepper = nn.StackStepper(params.notewise, r, keep_masks)
+    proj_t, proj_b = params.proj_w.T, params.proj_b
+    logits = np.empty((r, 2))
     samples = np.zeros((n, r, 2))
     prev = 0.0
-    for note in range(n):
-        xs[note, :, -2:] = prev
-        top, states = nn.stack_step(params.notewise, xs[note], states,
-                                    keep_masks=keep_masks)
-        logits = top @ params.proj_w.T + params.proj_b
-        prev = samples[note] = sample_pairs(logits, rng)
+    for x, sample in zip(xs, samples):
+        x[:, -2:] = prev
+        np.matmul(stepper.step(x), proj_t, logits)
+        logits += proj_b
+        prev = sample[...] = sample_pairs(logits, rng)
     return samples
 
 
@@ -404,47 +406,31 @@ def train(corpus, cfg, rng, params: BiaxialParams = None):
     return params, history
 
 
-def generate(params: BiaxialParams, cfg, steps: int, rng,
-             seed: NoteStateMatrix = None) -> NoteStateMatrix:
+def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
     """Free-run the model one step at a time.
 
-    The seed (default: a single silent step) is fed through the time
-    scan to warm its state, sitting just before position 0 so the first
-    generated column lands on a measure boundary. Each sampled column is
-    fed back as the next input. No dropout is active here.
+    One silent column, sitting just before position 0 so the first
+    generated column lands on a measure boundary, opens the time scan.
+    Each sampled column is fed back as the next input. No dropout is
+    active here.
     """
     n = cfg.n_notes
-    if seed is None:
-        seed_cols = np.zeros((1, n, 2))
-    else:
-        if seed.n_notes != n or seed.note_low != cfg.note_low:
-            raise ValueError("seed note range does not match config")
-        seed_cols = np.asarray(seed.data, dtype=np.float64).transpose(1, 0, 2)
     states = [(np.zeros((n, lay.hidden_size)), np.zeros((n, lay.hidden_size)))
               for lay in params.timewise]
-    n_seed = seed_cols.shape[0]
-    top = None
-    for k in range(n_seed):
-        feats = expand_columns(seed_cols[k][None], cfg.note_low,
-                               np.array([k - n_seed]))[0]
-        top, states = nn.stack_step(params.timewise, feats, states)
-
+    col = np.zeros((n, 2), dtype=np.uint8)
     out = np.zeros((n, steps, 2), dtype=np.uint8)
-    # The returned matrix stands alone, so every note sounding at its
-    # first step is a run start there even when the seed held it.
+    # the note scan over one step, its feedback pairs filled as sampled
+    xs = np.zeros((n, 1, params.timewise[-1].hidden_size + 2))
     prev_play = np.zeros(n, dtype=bool)
     for j in range(steps):
-        # the note scan over one step, its feedback pairs filled as sampled
-        xs = np.concatenate([top, np.zeros((n, 2))], axis=1)[:, None]
+        feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
+                               np.array([j - 1]))[0]
+        top, states = nn.stack_step(params.timewise, feats, states)
+        xs[:, 0, :-2] = top
         col = _sample_note_scan(params, xs, rng)[:, 0].astype(np.uint8)
         # A note switching on out of silence is an onset by definition,
         # so its articulation bit must be set.
         col[:, 1] |= col[:, 0] & ~prev_play
         prev_play = col[:, 0] > 0
         out[:, j] = col
-        if j == steps - 1:
-            break   # nothing reads the state after the last column
-        feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
-                               np.array([j]))[0]
-        top, states = nn.stack_step(params.timewise, feats, states)
     return NoteStateMatrix(out, cfg.note_low, cfg.steps_per_measure)

@@ -4,9 +4,12 @@ Everything here operates on plain numpy float64 arrays, stored row-major.
 There is one LSTM kernel: stack_forward scans a stack of cells with one
 input projection per layer and one sigmoid call per step, stack_backward
 backpropagates through that scan, and stack_step is the scan at length
-1. Adadelta and the finite-difference checker are written out
-explicitly so that every gradient the package relies on can be verified
-against an independent numerical oracle.
+1. StackStepper steps a stack through a scan whose inputs are known only
+one step at a time (each note of a sampled column), in buffers allocated
+once per scan; its elementwise update is _cell_update, the same one
+stack_forward's step loop calls. Adadelta and the finite-difference
+checker are written out explicitly so that every gradient the package
+relies on can be verified against an independent numerical oracle.
 
 Conventions:
   * a "stack" is a list of LstmCellParams applied bottom to top,
@@ -51,8 +54,8 @@ def sigmoid(x, out=None):
     """Logistic function of an array in its tanh form, stable for any
     input: 0.5 * (1 + tanh(x / 2)). With out, the result is written
     there and returned."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
+    out = np.multiply(x, 0.5, out)
+    np.tanh(out, out)
     out += 1.0
     out *= 0.5
     return out
@@ -247,6 +250,7 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     block read as (4, R, H), which is what the cache keeps. Then
     c = f * c_prev + i * g and h = o * tanh(c) are written straight
     into the cached c and h, after a slot left for the initial state.
+    That elementwise part is _cell_update, which StackStepper shares.
     """
     s_len, rows, _ = xs.shape
     caches, finals = [], []
@@ -270,21 +274,15 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
         c_all = buffer(ws, ("c", li), (s_len + 1, rows, hs))
         h_all = buffer(ws, ("h", li), (s_len + 1, rows, hs))
         # without a workspace the product allocates, which costs less
-        # than one more buffer in the one-step calls of generation
+        # than one more buffer in the one-step calls of generation's
+        # time axis
         rec = None if ws is None else ws.empty(("rec", hs), (rows, 4 * hs))
         z = buffer(ws, ("z", hs), (4, rows, hs))
-        z_sig, z_cand = z[:3], z[3]
         wh_t = wh.T
-        for s in range(s_len):
-            gates[s] += np.matmul(h, wh_t, out=rec)
-            z[...] = pre[s]
-            i, f, o, g = act = acts[s]
-            sigmoid(z_sig, out=act[:3])
-            np.tanh(z_cand, out=g)
-            c = np.multiply(f, c, out=c_all[s + 1])
-            c += np.multiply(i, g, out=z_cand)   # tanh above consumed z_cand
-            h = np.tanh(c, out=h_all[s + 1])
-            h *= o
+        for gate_s, pre_s, act, c_out, h_out in zip(
+                gates, pre, acts, c_all[1:], h_all[1:]):
+            gate_s += np.matmul(h, wh_t, rec)
+            c, h = _cell_update(pre_s, z, act, c, c_out, h_out)
         mask = None if keep_masks is None else keep_masks[li]
         caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
         finals.append((h, c))
@@ -293,6 +291,64 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
             stream = np.multiply(stream, mask, out=buffer(
                 ws, ("masked", li), stream.shape))
     return stream, caches, finals
+
+
+def _cell_update(pre, z, act, c_prev, c_out, h_out):
+    """One step's elementwise LSTM update, the one stack_forward and
+    StackStepper share. pre is the step's (R, 4H) pre-activation block
+    read gate-major as (4, R, H); it is copied into the (4, R, H)
+    scratch z. One sigmoid call writes i, f and o and one tanh the
+    candidate g into act (4, R, H). Then c = f * c_prev + i * g goes
+    into c_out and h = o * tanh(c) into h_out, which may be c_prev's
+    own memory and the spent h_prev's. Returns (c, h)."""
+    z[...] = pre
+    i, f, o, g = act
+    sigmoid(z[:3], act[:3])
+    np.tanh(z[3], g)
+    c = np.multiply(f, c_prev, c_out)
+    c += np.multiply(i, g, z[3])    # the tanh above consumed z[3]
+    h = np.tanh(c, h_out)
+    h *= o
+    return c, h
+
+
+class StackStepper:
+    """Advance a stack one step at a time through one scan, from a zero
+    state, in memory allocated once: each layer's (R, 4H) gate block,
+    its (4, R, H) scratch, its recurrent product and its h and c rows.
+
+    step(x) takes (R, D) and returns the top output after any dropout
+    mask, valid until the next step. It equals stack_step on the same
+    input and state bit for bit: x @ wx.T, then + b, then + h @ wh.T,
+    with the operand shapes of a length-1 scan, then _cell_update.
+    Masks apply to the stream passed upward, not to the recurrent path.
+    """
+
+    def __init__(self, layers, rows, keep_masks=None):
+        self._layers = []
+        for li, layer in enumerate(layers):
+            hs = layer.hidden_size
+            wx, wh, b = layer.packed()
+            block = np.empty((rows, 4 * hs))
+            mask = None if keep_masks is None else keep_masks[li]
+            self._layers.append((
+                wx.T, wh.T, b, block,
+                block.reshape(rows, 4, hs).transpose(1, 0, 2),    # pre
+                block.reshape(4, rows, hs),     # activated gates
+                np.empty((4, rows, hs)),        # scratch z
+                np.empty((rows, 4 * hs)),       # h @ wh.T
+                np.zeros((rows, hs)), np.zeros((rows, hs)),   # h, c
+                mask, None if mask is None else np.empty((rows, hs))))
+
+    def step(self, x):
+        for (wx_t, wh_t, b, block, pre, act, z, rec, h, c, mask,
+             masked) in self._layers:
+            np.matmul(x, wx_t, block)
+            block += b
+            block += np.matmul(h, wh_t, rec)
+            _cell_update(pre, z, act, c, c, h)
+            x = h if mask is None else np.multiply(h, mask, masked)
+        return x
 
 
 def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
@@ -364,31 +420,34 @@ def _gate_gradients(cache, wh, dstream, ws=None):
     d_sig = buffer(ws, ("d_sig", hs), (3, rows, hs))
     dh, tc, dc, dc_next, dh_next = buffer(ws, ("dstep", hs), (5, rows, hs))
     dh_carry = dc_carry = 0.0
-    for s in range(s_len - 1, -1, -1):
-        i, f, o, g = act = acts[s]
+    # step s, newest first, with c[s + 1] (its c) and c[s] (its c_prev)
+    steps = zip(range(s_len - 1, -1, -1), acts[::-1], dstream[::-1],
+                cache.c[:0:-1], cache.c[-2::-1], dz_rows[::-1], dz_all[::-1])
+    for s, act, dstream_s, c_s, c_prev, dz_row, dz_s in steps:
+        i, f, o, g = act
         sig = act[:3]
-        np.add(dstream[s], dh_carry, out=dh)
-        np.tanh(cache.c[s + 1], out=tc)
+        np.add(dstream_s, dh_carry, dh)
+        np.tanh(c_s, tc)
         # dc = dc_carry + dh * o * (1 - tc * tc)
-        np.multiply(tc, tc, out=dc)
-        np.subtract(1.0, dc, out=dc)
-        dc *= np.multiply(dh, o, out=d_sig[0])
+        np.multiply(tc, tc, dc)
+        np.subtract(1.0, dc, dc)
+        dc *= np.multiply(dh, o, d_sig[0])
         dc += dc_carry
         # dz[:3] = (dc * g, dc * c_prev, dh * tc) * sig * (1 - sig)
-        np.multiply(dc, g, out=dz[0])
-        np.multiply(dc, cache.c[s], out=dz[1])
-        np.multiply(dh, tc, out=dz[2])
+        np.multiply(dc, g, dz[0])
+        np.multiply(dc, c_prev, dz[1])
+        np.multiply(dh, tc, dz[2])
         dz[:3] *= sig
-        dz[:3] *= np.subtract(1.0, sig, out=d_sig)
+        dz[:3] *= np.subtract(1.0, sig, d_sig)
         # dz[3] = dc * i * (1 - g * g)
-        d_g = np.multiply(g, g, out=d_sig[1])
-        np.subtract(1.0, d_g, out=d_g)
-        np.multiply(np.multiply(dc, i, out=d_sig[0]), d_g, out=dz[3])
+        d_g = np.multiply(g, g, d_sig[1])
+        np.subtract(1.0, d_g, d_g)
+        np.multiply(np.multiply(dc, i, d_sig[0]), d_g, dz[3])
         if s:   # step 0 passes nothing further back
-            dc_carry = np.multiply(dc, f, out=dc_next)
-        dz_rows[s] = dz     # overwrites this step's gates in a workspace
+            dc_carry = np.multiply(dc, f, dc_next)
+        dz_row[...] = dz    # overwrites this step's gates in a workspace
         if s:
-            dh_carry = np.matmul(dz_all[s], wh, out=dh_next)
+            dh_carry = np.matmul(dz_s, wh, dh_next)
     return dz_all
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import helpers
-from rolltune import cli, model, nn, tuner
+from rolltune import checkpoint, cli, model, nn, tuner
 from rolltune.config import RunConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -128,6 +128,30 @@ def test_training_fires_the_train_desk_spans(tmp_path):
     assert spans
     for name in spans:
         assert calls.get(name, 0) > 0, name
+
+
+def test_generate_fires_the_sample_desk_spans(tmp_path):
+    cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
+                    notewise_hidden=[3]).validate()
+    params = model.init_biaxial_params([3], [3], np.random.default_rng(0))
+    ckpt = tmp_path / "primed.ckpt"
+    checkpoint.write_checkpoint(
+        ckpt, model.param_arrays(params),
+        cli.checkpoint_metadata(cli.KIND_BIAXIAL, cfg, 0))
+    steps = 3
+    argv = ["generate", "--ckpt", str(ckpt), "--steps", str(steps),
+            "--seed", "2", "--out", str(tmp_path / "sample.mid")]
+
+    calls = traced_calls(lambda: cli.main(argv))
+    assert calls["model.generate"] == 1
+    # one draw per note of every column, each through the note stepper
+    assert calls["model.sample_pairs"] == steps * cfg.n_notes
+    # the time axis alone steps through stack_step: the silent opening
+    # column and every generated column but the last
+    assert calls["nn.stack_step"] == steps
+    for name in ("midiio.to_midi", "midiio.serialize_midi",
+                 "checkpoint.read_checkpoint"):
+        assert calls[name] == 1, name
 
 
 @pytest.mark.parametrize("hidden", [[3], [4, 3]])

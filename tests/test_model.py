@@ -451,27 +451,9 @@ class TestGenerate:
         assert a == b
         assert a != c
 
-    def test_seed_material_warms_the_state(self):
-        # Weights are drawn wide enough that the state left behind by a
-        # dense seed moves the logits across sampling thresholds.
-        rng = np.random.default_rng(25)
-        params = model.init_biaxial_params([6], [6], rng)
-        for arr in model.param_arrays(params).values():
-            arr += rng.normal(0.0, 0.8, size=arr.shape)
-        cfg = self.make_cfg(n_notes=10, note_low=55)
-        data = np.zeros((10, 16, 2), dtype=np.uint8)
-        data[:, :, 0] = 1
-        data[:, 0, 1] = 1
-        seed = NoteStateMatrix(data, 55)
-        a = model.generate(params, cfg, 24, np.random.default_rng(9),
-                           seed=seed)
-        b = model.generate(params, cfg, 24, np.random.default_rng(9))
-        a.validate()
-        assert a != b
-
     def test_time_scan_stops_at_the_last_column(self, monkeypatch):
-        """The time scan consumes the seed and every generated column
-        but the last, whose next state nothing reads."""
+        """The time scan consumes the silent opening column and every
+        generated column but the last, whose next state nothing reads."""
         rng = np.random.default_rng(26)
         params = small_params(rng, timewise=(4,), notewise=(3,))
         cfg = self.make_cfg(n_notes=10, note_low=55)
@@ -483,15 +465,65 @@ class TestGenerate:
             return step(layers, *args, **kwargs)
 
         monkeypatch.setattr(nn, "stack_step", record)
-        seed = random_matrix(rng, n_notes=10, n_steps=3, note_low=55)
-        model.generate(params, cfg, 5, np.random.default_rng(1), seed=seed)
-        assert len(time_steps) == 3 + 5 - 1
+        model.generate(params, cfg, 5, np.random.default_rng(1))
+        assert len(time_steps) == 5
 
-    def test_seed_note_range_must_match(self):
-        params = zero_params((4,), (4,))
-        cfg = self.make_cfg(n_notes=10, note_low=55)
-        seed = random_matrix(np.random.default_rng(4), n_notes=8,
-                             n_steps=4, note_low=55)
-        with pytest.raises(ValueError, match="note range"):
-            model.generate(params, cfg, 8, np.random.default_rng(0),
-                           seed=seed)
+
+def reference_sample_note_scan(params, xs, rng, keep_masks=None):
+    """The note scan sampled with one nn.stack_step per note, each a
+    fresh length-1 stack_forward: the oracle for model._sample_note_scan
+    and its preallocated nn.StackStepper."""
+    n, r, _ = xs.shape
+    states = [(np.zeros((r, lay.hidden_size)), np.zeros((r, lay.hidden_size)))
+              for lay in params.notewise]
+    samples = np.zeros((n, r, 2))
+    prev = 0.0
+    for note in range(n):
+        xs[note, :, -2:] = prev
+        top, states = nn.stack_step(params.notewise, xs[note], states,
+                                    keep_masks=keep_masks)
+        logits = top @ params.proj_w.T + params.proj_b
+        prev = samples[note] = model.sample_pairs(logits, rng)
+    return samples
+
+
+class TestSampleNoteScan:
+    """model._sample_note_scan against one stack_step per note, bit for
+    bit: the samples, the realized feedback in xs and the rng after."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 48])
+    @pytest.mark.parametrize("notewise", [(5,), (5, 3)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_one_stack_step_per_note(self, rows, notewise, masked):
+        rng = np.random.default_rng(28)
+        params = small_params(rng, timewise=(4,), notewise=notewise)
+        xs = np.zeros((9, rows, 6))
+        xs[..., :4] = rng.normal(size=(9, rows, 4))
+        masks = ([nn.dropout_mask((rows, hs), 0.7, rng) for hs in notewise]
+                 if masked else None)
+        want_xs, got_xs = xs.copy(), xs.copy()
+        want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = reference_sample_note_scan(params, want_xs, want_rng, masks)
+        got = model._sample_note_scan(params, got_xs, got_rng, masks)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_xs, want_xs)
+        assert got_rng.random() == want_rng.random()
+        # a scan that samples nothing but silence would prove little
+        assert 0 < got[..., 0].sum() < got[..., 0].size
+
+    def test_desk_generation_matches_the_oracle(self, monkeypatch):
+        """32 columns at the desk shape: 36 notes from MIDI 48, one
+        24-unit layer per axis."""
+        rng = np.random.default_rng(29)
+        params = small_params(rng, timewise=(24,), notewise=(24,))
+        cfg = RunConfig(n_notes=36, note_low=48, timewise_hidden=[24],
+                        notewise_hidden=[24])
+        got_rng = np.random.default_rng(6)
+        got = model.generate(params, cfg, 32, got_rng)
+        monkeypatch.setattr(model, "_sample_note_scan",
+                            reference_sample_note_scan)
+        want_rng = np.random.default_rng(6)
+        want = model.generate(params, cfg, 32, want_rng)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got_rng.random() == want_rng.random()
+        assert 0 < got.data[..., 0].sum() < got.data[..., 0].size

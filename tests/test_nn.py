@@ -294,6 +294,31 @@ class TestStackScan:
         np.testing.assert_allclose(stream, bare * mask, rtol=0, atol=0)
 
 
+class TestStackStepper:
+    """StackStepper against one stack_step per step from a zero state,
+    bit for bit: the same products with the same operand shapes and the
+    same elementwise update."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 48])
+    @pytest.mark.parametrize("hidden", [(5,), (5, 3)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_steps_equal_stack_step(self, rows, hidden, masked):
+        rng = np.random.default_rng(25)
+        layers, size = [], 6
+        for hs in hidden:
+            layers.append(random_cell(size, hs, rng))
+            size = hs
+        masks = ([nn.dropout_mask((rows, hs), 0.6, rng) for hs in hidden]
+                 if masked else None)
+        xs = rng.normal(size=(7, rows, 6))
+        states = [(np.zeros((rows, hs)), np.zeros((rows, hs)))
+                  for hs in hidden]
+        stepper = nn.StackStepper(layers, rows, masks)
+        for x in xs:
+            want, states = nn.stack_step(layers, x, states, masks)
+            np.testing.assert_array_equal(stepper.step(x), want)
+
+
 class TestGateMajorScan:
     """The gate-major kernel against the row-major reference scan: the
     GEMMs are the same calls and every elementwise product is formed
