@@ -20,6 +20,7 @@ through, replaces a file only once its new bytes are complete.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -89,8 +90,8 @@ def parse_checkpoint(data: bytes):
         ndim, = struct.unpack("<B", take(1, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I",
                               take(4 * ndim, f"shape of {name!r}"))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        blob = take(8 * count, f"values of {name!r} (shape {shape})")
+        blob = take(8 * math.prod(shape),
+                    f"values of {name!r} (shape {shape})")
         arrays[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     if offset != len(view):
         raise CheckpointError(f"{len(view) - offset} trailing bytes after "

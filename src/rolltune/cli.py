@@ -56,16 +56,10 @@ def resolve_config(args, base_mapping=None, **flag_overrides):
     return RunConfig.from_sources(mapping, flag_overrides)
 
 
-def load_checkpoint_config(meta, args, **flag_overrides):
-    base = meta.get("config")
-    if not isinstance(base, dict):
-        base = {}
-    return resolve_config(args, base, **flag_overrides)
-
-
 def load_corpus(data_dir, cfg):
     """Parse and quantize every .mid/.midi file under data_dir, sorted
-    by name. Unreadable files are skipped with a warning."""
+    by name. Unreadable files are skipped with a warning; a file is
+    read no further than needed to see it is over MAX_MIDI_BYTES."""
     root = Path(data_dir)
     if not root.is_dir():
         raise ValueError(f"--data {data_dir} is not a directory")
@@ -74,7 +68,9 @@ def load_corpus(data_dir, cfg):
     corpus = []
     for path in paths:
         try:
-            song = midiio.parse_midi(path.read_bytes())
+            with open(path, "rb") as fh:
+                data = fh.read(midiio.MAX_MIDI_BYTES + 1)
+            song = midiio.parse_midi(data)
             corpus.append(midiio.quantize(song, cfg.note_low, cfg.n_notes,
                                           cfg.steps_per_measure))
         except (midiio.MidiParseError, ValueError) as exc:
@@ -89,13 +85,18 @@ def checkpoint_metadata(kind, cfg, iterations):
             "iterations": int(iterations)}
 
 
-def read_model_checkpoint(path, expect_kind):
-    arrays, meta = checkpoint.read_checkpoint(path)
+def read_model_checkpoint(args, kinds, **flag_overrides):
+    """Read the checkpoint at args.ckpt, refusing a model kind outside
+    kinds, and resolve the run's config over its stored snapshot.
+    Returns (kind, arrays, cfg)."""
+    arrays, meta = checkpoint.read_checkpoint(args.ckpt)
     kind = meta.get("kind", KIND_BIAXIAL)
-    if kind != expect_kind:
-        raise ValueError(f"checkpoint {path} holds a {kind!r} model; "
-                         f"this command needs {expect_kind!r}")
-    return arrays, meta
+    if kind not in kinds:
+        raise ValueError(f"checkpoint {args.ckpt} holds a {kind!r} model; "
+                         f"this command reads {' or '.join(kinds)}")
+    base = meta.get("config")
+    return kind, arrays, resolve_config(
+        args, base if isinstance(base, dict) else {}, **flag_overrides)
 
 
 def cmd_train(args):
@@ -114,8 +115,8 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    arrays, meta = read_model_checkpoint(args.ckpt, KIND_BIAXIAL)
-    cfg = load_checkpoint_config(meta, args, gen_steps=args.steps)
+    _, arrays, cfg = read_model_checkpoint(args, (KIND_BIAXIAL,),
+                                           gen_steps=args.steps)
     params = model.params_from_arrays(arrays)
     rng = np.random.default_rng(cfg.seed)
     matrix = model.generate(params, cfg, cfg.gen_steps, rng)
@@ -126,9 +127,9 @@ def cmd_generate(args):
 
 
 def cmd_tune(args):
-    arrays, meta = read_model_checkpoint(args.ckpt, KIND_BIAXIAL)
-    cfg = load_checkpoint_config(meta, args, rl_iterations=args.iters,
-                                 c_weight=args.c)
+    _, arrays, cfg = read_model_checkpoint(args, (KIND_BIAXIAL,),
+                                           rl_iterations=args.iters,
+                                           c_weight=args.c)
     primed = model.params_from_arrays(arrays)
     rng = np.random.default_rng(cfg.seed)
     qnet, trace = tuner.tune(primed, cfg, rng)
@@ -144,31 +145,21 @@ def cmd_tune(args):
 
 
 def cmd_eval(args):
-    arrays, meta = checkpoint.read_checkpoint(args.ckpt)
-    kind = meta.get("kind", KIND_BIAXIAL)
-    cfg = load_checkpoint_config(meta, args, eval_songs=args.songs,
-                                 sampling=args.sampling)
+    kind, arrays, cfg = read_model_checkpoint(
+        args, (KIND_BIAXIAL, KIND_QNET), eval_songs=args.songs,
+        sampling=args.sampling)
     rng = np.random.default_rng(cfg.seed)
     greedy = cfg.sampling == "greedy"
     if kind == KIND_QNET:
         qnet = tuner.qnetwork_from_arrays(arrays, cfg.note_low, cfg.n_notes)
         melodies = tuner.rollout(qnet, cfg, rng, greedy=greedy,
                                  songs=cfg.eval_songs)
-    elif kind == KIND_BIAXIAL:
-        primed = model.params_from_arrays(arrays)
-        if greedy:
-            qnet = tuner.MelodyQNetwork.from_primed(primed, cfg.note_low,
-                                                    cfg.n_notes)
-            melodies = tuner.rollout(qnet, cfg, rng, greedy=True,
-                                     songs=cfg.eval_songs)
-        else:
-            reward_model = tuner.RewardModel(primed, cfg.note_low,
-                                             cfg.n_notes)
-            melodies = tuner.sample_primed_melody(reward_model, cfg, rng,
-                                                  songs=cfg.eval_songs)
     else:
-        raise ValueError(f"checkpoint {args.ckpt} holds unknown model "
-                         f"kind {kind!r}")
+        reward_model = tuner.RewardModel(model.params_from_arrays(arrays),
+                                         cfg.note_low, cfg.n_notes)
+        melodies = tuner.sample_primed_melody(reward_model, cfg, rng,
+                                              greedy=greedy,
+                                              songs=cfg.eval_songs)
     report = metrics.evaluate(melodies, cfg)
     checkpoint.write_atomic(args.out,
                             metrics.report_to_csv(report).encode("ascii"))

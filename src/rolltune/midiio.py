@@ -41,6 +41,12 @@ DEFAULT_TEMPO_BPM = 120.0
 # about 1e9 steps, 77 GB of roll at 36 notes.
 MAX_STEPS = 1 << 18
 
+# Longest input parse_midi reads. A file of running-status note-ons
+# costs about 43 bytes of memory per input byte to parse, so this bounds
+# such a parse near 180 MB; a piece MAX_STEPS long at 10 notes/s is
+# about 2.6 MB.
+MAX_MIDI_BYTES = 1 << 22
+
 
 class MidiParseError(ValueError):
     """Malformed MIDI input; message names the offending byte offset."""
@@ -172,8 +178,13 @@ def parse_midi(data: bytes) -> MidiSong:
 
     Keeps note and tempo events with exact tick deltas; a running-status
     data byte with no prior status, a truncated chunk, or a bad header
-    raises MidiParseError naming the byte offset.
+    raises MidiParseError naming the byte offset. So does input longer
+    than MAX_MIDI_BYTES, before any of it is parsed.
     """
+    if len(data) > MAX_MIDI_BYTES:
+        raise MidiParseError(f"input of {len(data)} bytes is over "
+                             f"MAX_MIDI_BYTES ({MAX_MIDI_BYTES}) at byte "
+                             f"{MAX_MIDI_BYTES}")
     r = _Reader(data)
     if r.bytes(4, "header") != b"MThd":
         r.pos = 0

@@ -62,10 +62,10 @@ class BiaxialParams:
             self.proj_w.copy(), self.proj_b.copy())
 
 
-def init_biaxial_params(timewise_hidden, notewise_hidden, rng,
-                        feature_width=FEATURE_WIDTH) -> BiaxialParams:
+def init_biaxial_params(timewise_hidden, notewise_hidden,
+                        rng) -> BiaxialParams:
     timewise, notewise = [], []
-    size = feature_width
+    size = FEATURE_WIDTH
     for hidden in timewise_hidden:
         timewise.append(nn.LstmCellParams.fresh(size, hidden, rng))
         size = hidden
@@ -209,9 +209,7 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     # numpy returns at once when assigning a view to itself
     by_song[..., :hidden] = timewise_out
     if targets is not None:
-        # one step has no next column to feed back
-        by_song[..., hidden:] = (0.0 if t == 1
-                                 else teacher_feedback(targets))
+        by_song[..., hidden:] = teacher_feedback(targets)
         samples = None
     else:
         if rng is None:
@@ -258,32 +256,23 @@ def loss(logits: np.ndarray, batch: np.ndarray):
     Articulation terms are dropped wherever the target play bit is 0.
     Returns (mean loss per cell, log-likelihood per step).
     """
-    ce, _, denom = _cross_entropy(logits, batch)
-    total = float(ce.sum())
-    n = logits.shape[1]
-    return total / denom, -total / (denom / n)
-
-
-def _cross_entropy(logits, batch):
-    targets = np.asarray(batch, dtype=np.float64)
-    lg = logits[:, :, :-1]
-    tg = targets[:, :, 1:]
-    ce = np.maximum(lg, 0.0) - lg * tg + np.log1p(np.exp(-np.abs(lg)))
-    mask = np.ones_like(ce)
-    mask[..., 1] = tg[..., 0]
-    ce = ce * mask
-    b, n, t_eff = lg.shape[:3]
-    return ce, (lg, tg, mask), b * n * t_eff
+    return loss_with_gradient(logits, batch)[:2]
 
 
 def loss_with_gradient(logits, batch):
     """loss() plus d(loss)/d(logits), zero at the final step and at
     masked articulation cells."""
-    ce, (lg, tg, mask), denom = _cross_entropy(logits, batch)
+    lg = logits[:, :, :-1]
+    tg = np.asarray(batch, dtype=np.float64)[:, :, 1:]
+    ce = np.maximum(lg, 0.0) - lg * tg + np.log1p(np.exp(-np.abs(lg)))
+    mask = np.ones_like(ce)
+    mask[..., 1] = tg[..., 0]
+    ce = ce * mask
+    b, n, t_eff = lg.shape[:3]
+    denom = b * n * t_eff
     total = float(ce.sum())
     dlogits = np.zeros_like(logits)
     dlogits[:, :, :-1] = (nn.sigmoid(lg) - tg) * mask / denom
-    n = logits.shape[1]
     return total / denom, -total / (denom / n), dlogits
 
 
@@ -361,7 +350,7 @@ def sample_segments(corpus, segment_len, batch_size, steps_per_measure, rng):
     return batch
 
 
-def train(corpus, cfg, rng, params: BiaxialParams = None):
+def train(corpus, cfg, rng):
     """Fit the model on a list of NoteStateMatrix scores.
 
     Songs shorter than the segment length are skipped with a warning;
@@ -384,9 +373,8 @@ def train(corpus, cfg, rng, params: BiaxialParams = None):
     if not usable:
         raise ValueError("every corpus item is shorter than segment_len")
 
-    if params is None:
-        params = init_biaxial_params(cfg.timewise_hidden, cfg.notewise_hidden,
-                                     rng)
+    params = init_biaxial_params(cfg.timewise_hidden, cfg.notewise_hidden,
+                                 rng)
     opt = nn.Adadelta(rho=cfg.adadelta_rho, eps=cfg.adadelta_eps,
                       lr=cfg.learning_rate)
     arrays = param_arrays(params)

@@ -273,10 +273,7 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
         acts = gates.reshape(s_len, 4, rows, hs)
         c_all = buffer(ws, ("c", li), (s_len + 1, rows, hs))
         h_all = buffer(ws, ("h", li), (s_len + 1, rows, hs))
-        # without a workspace the product allocates, which costs less
-        # than one more buffer in the one-step calls of generation's
-        # time axis
-        rec = None if ws is None else ws.empty(("rec", hs), (rows, 4 * hs))
+        rec = buffer(ws, ("rec", hs), (rows, 4 * hs))
         z = buffer(ws, ("z", hs), (4, rows, hs))
         wh_t = wh.T
         for gate_s, pre_s, act, c_out, h_out in zip(

@@ -495,12 +495,15 @@ def tune(primed: BiaxialParams, cfg, rng):
     return qnet, trace
 
 
-def _play(model, score, cfg, rng, songs, explore: dict):
+def _play(model, score, cfg, rng, songs, greedy: bool, temperature: float):
     """The one lockstep step loop. Plays `songs` episodes (one when
     None), SONGS_IN_FLIGHT at a time; each step makes one score(snapshot)
     call, giving (B, 38) action scores and the advanced cells, and one
-    choose_action call over the batch with the `explore` settings.
-    Returns the melody, or the list of melodies when songs is given."""
+    choose_action call over the batch: the argmax when greedy, otherwise
+    a Boltzmann draw at `temperature`. Returns the melody, or the list
+    of melodies when songs is given."""
+    explore = (dict(exploration="epsilon", epsilon=0.0) if greedy else
+               dict(exploration="boltzmann", temperature=temperature))
     count = 1 if songs is None else songs
     if count < 1:
         raise ValueError(f"songs must be positive, got {songs}")
@@ -524,15 +527,14 @@ def rollout(qnet: MelodyQNetwork, cfg, rng, greedy: bool = True,
     otherwise actions are Boltzmann-sampled at cfg.temperature. Returns
     one melody, or with songs=N a list of N melodies played in lockstep
     (draws are step-major across the songs in flight)."""
-    explore = (dict(exploration="epsilon", epsilon=0.0) if greedy else
-               dict(exploration="boltzmann", temperature=cfg.temperature))
-    return _play(qnet, qnet.act, cfg, rng, songs, explore)
+    return _play(qnet, qnet.act, cfg, rng, songs, greedy, cfg.temperature)
 
 
 def sample_primed_melody(reward_model: RewardModel, cfg, rng,
-                         songs: int | None = None):
-    """Draw episode-length melodies from the primed model's own action
-    distribution (categorical at each step). Returns one melody, or
-    with songs=N a list of N melodies played in lockstep."""
+                         greedy: bool = False, songs: int | None = None):
+    """Play episode-length melodies from the primed model's own action
+    distribution, RewardModel.log_dist: greedy takes its argmax,
+    otherwise each step draws from it. Returns one melody, or with
+    songs=N a list of N melodies played in lockstep."""
     return _play(reward_model, reward_model.log_dist, cfg, rng, songs,
-                 dict(exploration="boltzmann", temperature=1.0))
+                 greedy, 1.0)

@@ -116,6 +116,16 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="metadata"):
             checkpoint.read_checkpoint(path)
 
+    def test_overflowing_element_count_is_reported(self):
+        # 2**64 - 2**33 + 1 values wrap a 64-bit element count negative
+        data = (checkpoint.MAGIC + (1).to_bytes(4, "little")
+                + (2).to_bytes(4, "little") + b"{}"
+                + (1).to_bytes(4, "little")
+                + (1).to_bytes(2, "little") + b"w" + bytes([2])
+                + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(64))
+        with pytest.raises(CheckpointError, match="truncated"):
+            checkpoint.parse_checkpoint(data)
+
     def test_error_type_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
 

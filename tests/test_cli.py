@@ -55,6 +55,16 @@ def trained_ckpt(workdir):
     return out
 
 
+@pytest.fixture(scope="module")
+def tuned_ckpt(workdir, trained_ckpt):
+    out = workdir / "tuned.ckpt"
+    rc = cli.main(["tune", "--ckpt", str(trained_ckpt),
+                   "--config", str(workdir / "cfg.json"),
+                   "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    return out
+
+
 class TestTrain:
 
     def test_writes_checkpoint_and_full_loss_csv(self, workdir,
@@ -143,6 +153,25 @@ class TestTrain:
             corpus = cli.load_corpus(mixed, cfg)
         assert len(corpus) == 1
 
+    def test_oversized_file_is_skipped_unread_with_a_warning(self,
+                                                             workdir):
+        cfg = RunConfig(**TINY_CONFIG).validate()
+        mixed = workdir / "long_file"
+        if not mixed.exists():
+            mixed.mkdir()
+            good = sorted((workdir / "corpus").iterdir())[0]
+            (mixed / good.name).write_bytes(good.read_bytes())
+            # a valid file, longer than the bound by an ignored chunk
+            data = good.read_bytes()
+            pad = midiio.MAX_MIDI_BYTES + 100 - len(data) - 8
+            (mixed / "long.mid").write_bytes(
+                data + b"XPAD" + pad.to_bytes(4, "big") + bytes(pad))
+        limit = midiio.MAX_MIDI_BYTES
+        # only the bound and one byte more are read
+        with pytest.warns(UserWarning,
+                          match=f"long.mid: input of {limit + 1} bytes"):
+            corpus = cli.load_corpus(mixed, cfg)
+        assert len(corpus) == 1
 
     def test_rejected_step_names_its_iteration(self, workdir, capsys,
                                                monkeypatch):
@@ -237,17 +266,20 @@ class TestTune:
                                       np.eye(MELODY_ACTIONS))
 
     def test_tuned_checkpoint_cannot_feed_generate(self, workdir,
-                                                   trained_ckpt, capsys):
-        tuned = workdir / "tuned.ckpt"
-        if not tuned.exists():
-            cli.main(["tune", "--ckpt", str(trained_ckpt),
-                      "--config", str(workdir / "cfg.json"),
-                      "--seed", "3", "--out", str(tuned)])
-        rc = cli.main(["generate", "--ckpt", str(tuned),
+                                                   tuned_ckpt, capsys):
+        rc = cli.main(["generate", "--ckpt", str(tuned_ckpt),
                        "--out", str(workdir / "no2.mid")])
-        assert rc != 0
-        assert "qnet" in capsys.readouterr().err
+        assert rc == 1
+        assert "'qnet'" in capsys.readouterr().err
 
+    def test_tuned_checkpoint_cannot_feed_tune(self, workdir, tuned_ckpt,
+                                               capsys):
+        out = workdir / "retuned.ckpt"
+        rc = cli.main(["tune", "--ckpt", str(tuned_ckpt),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "'qnet'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_update_names_its_iteration(self, workdir, capsys,
                                                  trained_ckpt, monkeypatch):
@@ -279,19 +311,55 @@ class TestEval:
         assert "Notes not in key" in table
 
     def test_report_for_a_tuned_checkpoint_and_greedy_mode(
-            self, workdir, trained_ckpt):
-        tuned = workdir / "tuned.ckpt"
-        if not tuned.exists():
-            cli.main(["tune", "--ckpt", str(trained_ckpt),
-                      "--config", str(workdir / "cfg.json"),
-                      "--seed", "3", "--out", str(tuned)])
+            self, workdir, tuned_ckpt):
         out = workdir / "tuned_report.csv"
-        rc = cli.main(["eval", "--ckpt", str(tuned), "--songs", "2",
+        rc = cli.main(["eval", "--ckpt", str(tuned_ckpt), "--songs", "2",
                        "--sampling", "greedy", "--seed", "0",
                        "--out", str(out)])
         assert rc == 0
         report = metrics.report_from_csv(out.read_text())
         assert report.song_count == 2
+
+    def test_greedy_primed_eval_takes_the_argmax_of_log_dist(
+            self, workdir, trained_ckpt, monkeypatch):
+        played = []
+        evaluate = metrics.evaluate
+        monkeypatch.setattr(metrics, "evaluate", lambda melodies, cfg: (
+            played.extend(melodies) or evaluate(melodies, cfg)))
+        songs = tuner.SONGS_IN_FLIGHT + 1
+        rc = cli.main(["eval", "--ckpt", str(trained_ckpt),
+                       "--songs", str(songs), "--sampling", "greedy",
+                       "--seed", "4", "--out", str(workdir / "g.csv")])
+        assert rc == 0
+        arrays, meta = checkpoint.read_checkpoint(trained_ckpt)
+        cfg = RunConfig.from_sources(meta["config"])
+        primed = model.params_from_arrays(arrays)
+        # the Q-network route greedy primed eval once took, whose Q-values
+        # are the unnormalized scores log_dist normalizes
+        qnet = tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+        assert played == tuner.rollout(qnet, cfg, np.random.default_rng(4),
+                                       greedy=True, songs=songs)
+        reward_model = tuner.RewardModel(primed, 48, 36)
+        actions = np.array(played)
+        for first in (0, tuner.SONGS_IN_FLIGHT):
+            chunk = actions[first:first + tuner.SONGS_IN_FLIGHT]
+            snapshot = tuner.fresh_snapshot(primed, 36, len(chunk))
+            for step in range(cfg.episode_len):
+                log_dist, cells = reward_model.log_dist(snapshot)
+                np.testing.assert_array_equal(chunk[:, step],
+                                              log_dist.argmax(axis=1))
+                snapshot = snapshot.advance(cells, chunk[:, step], step, 48)
+
+    def test_unknown_model_kind_is_refused(self, workdir, trained_ckpt,
+                                           capsys):
+        arrays, meta = checkpoint.read_checkpoint(trained_ckpt)
+        odd = workdir / "odd.ckpt"
+        checkpoint.write_checkpoint(odd, arrays, dict(meta, kind="odd"))
+        rc = cli.main(["eval", "--ckpt", str(odd),
+                       "--out", str(workdir / "odd.csv")])
+        assert rc == 1
+        assert "'odd'" in capsys.readouterr().err
+        assert not (workdir / "odd.csv").exists()
 
     def test_fixed_seed_reproduces_the_report(self, workdir,
                                               trained_ckpt):

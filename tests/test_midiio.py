@@ -62,6 +62,13 @@ class TestParse:
         assert kinds == [(NOTE_ON, 60, 0), (NOTE_ON, 64, 0x10),
                          (NOTE_OFF, 60, 0x10), (END_OF_TRACK, 0, 0)]
 
+    def test_oversized_input_rejected_before_parsing(self):
+        data = header() + track_chunk(EOT)
+        data += bytes(midiio.MAX_MIDI_BYTES + 1 - len(data))
+        with pytest.raises(MidiParseError,
+                           match=f"{midiio.MAX_MIDI_BYTES + 1} bytes"):
+            midiio.parse_midi(data)
+
     def test_format_two_rejected(self):
         with pytest.raises(MidiParseError, match="format 2"):
             midiio.parse_midi(header(fmt=2) + track_chunk(EOT))

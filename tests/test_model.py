@@ -407,7 +407,8 @@ class TestTrain:
         short = self.alternating_song(8)
         with pytest.warns(UserWarning, match="shorter than segment_len"):
             model.train([long_song, short], cfg, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="shorter than segment_len"):
+        with pytest.raises(ValueError, match="shorter than segment_len"), \
+                pytest.warns(UserWarning, match="shorter than segment_len"):
             model.train([short], cfg, np.random.default_rng(1))
 
     def test_mismatched_note_range_is_an_error(self):

@@ -174,7 +174,7 @@ class TestActionColumns:
                                    column(9, SILENT)[None], 48)[0]
         np.testing.assert_array_equal(col, column(MELODY_NO_EVENT, 7))
 
-    def test_next_sounding_transitions(self):
+    def test_columns_match_the_next_sounding_oracle(self):
         actions = [2, 37, MELODY_NO_EVENT, MELODY_NO_EVENT, MELODY_NOTE_OFF]
         before = [SILENT, 4, 9, SILENT, 9]
         expected = [0, 35, 9, SILENT, SILENT]
