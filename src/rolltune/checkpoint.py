@@ -82,6 +82,9 @@ def parse_checkpoint(data: bytes):
         metadata = json.loads(bytes(take(meta_len, "metadata")))
     except ValueError as exc:
         raise CheckpointError(f"corrupt metadata block: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise CheckpointError("corrupt metadata block: expected a JSON "
+                              f"object, got {type(metadata).__name__}")
     n_sections, = struct.unpack("<I", take(4, "section count"))
     arrays = {}
     for _ in range(n_sections):

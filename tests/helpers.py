@@ -1,5 +1,8 @@
-"""Shared test utilities: random valid piano rolls and a tiny corpus of
-Bach-flavored MIDI files built with the package's own writer."""
+"""Shared test utilities: random valid piano rolls, a tiny corpus of
+Bach-flavored MIDI files built with the package's own writer, and the
+loop-at-a-time MIDI oracles the array-based midiio is checked against."""
+
+import math
 
 import numpy as np
 
@@ -278,3 +281,242 @@ def write_corpus(dir_path):
         path.write_bytes(data)
         paths.append(path)
     return paths
+
+
+# Oracles for the MIDI layer: the per-byte parser, the per-cell roll
+# renderer and the per-note rasterizer that rolltune.midiio replaced
+# with offset- and array-based code. tests/test_midiio.py checks the
+# package against them byte for byte and message for message.
+
+class _OracleReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def error(self, message):
+        raise midiio.MidiParseError(f"{message} at byte {self.pos}")
+
+    def remaining(self):
+        return len(self.data) - self.pos
+
+    def bytes(self, n, what="data"):
+        if self.remaining() < n:
+            self.error(f"truncated {what}: wanted {n} bytes, "
+                       f"have {self.remaining()}")
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self, what="byte"):
+        return self.bytes(1, what)[0]
+
+    def u16(self, what="field"):
+        b = self.bytes(2, what)
+        return (b[0] << 8) | b[1]
+
+    def u32(self, what="field"):
+        b = self.bytes(4, what)
+        return (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
+
+    def vlq(self):
+        value = 0
+        for _ in range(4):
+            byte = self.u8("variable-length quantity")
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                return value
+        self.error("variable-length quantity longer than 4 bytes")
+
+
+def oracle_parse_midi(data: bytes) -> MidiSong:
+    """parse_midi one byte at a time through _OracleReader."""
+    MidiParseError = midiio.MidiParseError
+    if len(data) > midiio.MAX_MIDI_BYTES:
+        raise MidiParseError(f"input of {len(data)} bytes is over "
+                             f"MAX_MIDI_BYTES ({midiio.MAX_MIDI_BYTES}) "
+                             f"at byte {midiio.MAX_MIDI_BYTES}")
+    r = _OracleReader(data)
+    if r.bytes(4, "header") != b"MThd":
+        r.pos = 0
+        r.error("malformed header: expected MThd")
+    header_len = r.u32("header length")
+    if header_len < 6:
+        r.error(f"malformed header: length {header_len} < 6")
+    fmt = r.u16("format")
+    n_tracks = r.u16("track count")
+    division = r.u16("division")
+    r.bytes(header_len - 6, "header padding")
+    if fmt not in (0, 1):
+        raise MidiParseError(f"unsupported format {fmt} at byte 8")
+    if division & 0x8000:
+        raise MidiParseError("SMPTE division is not supported at byte 12")
+    if division == 0:
+        raise MidiParseError("division of zero ticks at byte 12")
+    if n_tracks < 1:
+        raise MidiParseError("no tracks declared at byte 10")
+
+    tracks = []
+    while len(tracks) < n_tracks:
+        if r.remaining() == 0:
+            r.error(f"expected {n_tracks} tracks, found {len(tracks)}")
+        chunk_type = r.bytes(4, "chunk type")
+        chunk_len = r.u32("chunk length")
+        chunk_end = r.pos + chunk_len
+        if chunk_end > len(data):
+            r.error(f"truncated chunk: declared {chunk_len} bytes")
+        if chunk_type != b"MTrk":
+            r.pos = chunk_end
+            continue
+        tracks.append(_oracle_parse_track(r, chunk_end))
+        r.pos = chunk_end
+    return MidiSong(ticks_per_quarter=division, tracks=tracks)
+
+
+def _oracle_parse_track(r, chunk_end):
+    events = []
+    running_status = None
+    pending_delta = 0
+    while True:
+        if r.pos >= chunk_end:
+            r.error("track ended without end-of-track meta event")
+        pending_delta += r.vlq()
+        status_pos = r.pos
+        byte = r.u8("event status")
+        if byte < 0x80:
+            if running_status is None:
+                raise midiio.MidiParseError(
+                    f"running status with no prior status byte "
+                    f"at byte {status_pos}")
+            status = running_status
+            r.pos = status_pos
+        else:
+            status = byte
+        if status == 0xFF:
+            meta_type = r.u8("meta type")
+            length = r.vlq()
+            body = r.bytes(length, "meta event body")
+            running_status = None
+            if meta_type == 0x2F:
+                events.append(MidiEvent(pending_delta, midiio.END_OF_TRACK))
+                return events
+            if meta_type == 0x51:
+                if length != 3:
+                    r.error(f"tempo meta event with length {length}")
+                tempo_us = (body[0] << 16) | (body[1] << 8) | body[2]
+                events.append(MidiEvent(pending_delta, midiio.TEMPO,
+                                        tempo_us=tempo_us))
+                pending_delta = 0
+            continue
+        if status in (0xF0, 0xF7):
+            r.bytes(r.vlq(), "sysex body")
+            running_status = None
+            continue
+        if status >= 0xF0:
+            raise midiio.MidiParseError(
+                f"unexpected system message 0x{status:02x} "
+                f"at byte {status_pos}")
+        running_status = status
+        kind = status & 0xF0
+        if kind in (0xC0, 0xD0):
+            r.bytes(1, "channel message data")
+            continue
+        d1 = r.u8("event data")
+        d2 = r.u8("event data")
+        if kind == 0x90:
+            events.append(MidiEvent(pending_delta, midiio.NOTE_ON,
+                                    pitch=d1, velocity=d2))
+            pending_delta = 0
+        elif kind == 0x80:
+            events.append(MidiEvent(pending_delta, midiio.NOTE_OFF,
+                                    pitch=d1, velocity=d2))
+            pending_delta = 0
+
+
+def _round_half_up(x):
+    return int(math.floor(x + 0.5))
+
+
+def oracle_quantize(song, note_low, n_notes, steps_per_measure=16):
+    """quantize with one slice assignment per note."""
+    if steps_per_measure < 1:
+        raise ValueError("steps_per_measure must be positive")
+    step_ticks = song.ticks_per_quarter * 4.0 / steps_per_measure
+    notes = []
+    max_tick = 0
+    saw_note_event = False
+    for track in song.tracks:
+        tick = 0
+        active = {}
+        for ev in track:
+            tick += ev.delta
+            if ev.kind == midiio.NOTE_ON and ev.velocity > 0:
+                saw_note_event = True
+                if ev.pitch in active:
+                    notes.append((ev.pitch, active.pop(ev.pitch), tick))
+                active[ev.pitch] = tick
+            elif ev.kind == midiio.NOTE_OFF or (ev.kind == midiio.NOTE_ON
+                                                and ev.velocity == 0):
+                if ev.pitch in active:
+                    notes.append((ev.pitch, active.pop(ev.pitch), tick))
+        for pitch, start in active.items():
+            notes.append((pitch, start, tick))
+        max_tick = max(max_tick, tick)
+    if not saw_note_event:
+        raise ValueError("empty song: no note events")
+    end_step = _round_half_up(max_tick / step_ticks)
+    if end_step > midiio.MAX_STEPS:
+        raise ValueError(f"song spans {end_step} steps, more than "
+                         f"MAX_STEPS = {midiio.MAX_STEPS}")
+    data = np.zeros((n_notes, max(end_step, 1), 2), dtype=np.uint8)
+    for pitch, start, end in notes:
+        if not note_low <= pitch < note_low + n_notes:
+            continue
+        s = _round_half_up(start / step_ticks)
+        e = _round_half_up(end / step_ticks)
+        if e > s:
+            data[pitch - note_low, s:e, 0] = 1
+            data[pitch - note_low, s, 1] = 1
+    return NoteStateMatrix(data, note_low, steps_per_measure)
+
+
+def oracle_to_midi(matrix, tempo_bpm=midiio.DEFAULT_TEMPO_BPM):
+    """to_midi walking the roll one (note, step) cell at a time."""
+    matrix.validate()
+    if tempo_bpm <= 0:
+        raise ValueError("tempo must be positive")
+    step_ticks = midiio.DEFAULT_DIVISION * 4.0 / matrix.steps_per_measure
+
+    def tick_of(step):
+        return _round_half_up(step * step_ticks)
+
+    play = matrix.data[:, :, 0]
+    artic = matrix.data[:, :, 1]
+    timed = []          # (tick, order, pitch, kind)
+    for row in range(matrix.n_notes):
+        pitch = matrix.note_low + row
+        start = None
+        for t in range(matrix.n_steps):
+            if play[row, t] and (start is None or artic[row, t]):
+                if start is not None:      # re-articulation
+                    timed.append((tick_of(t), 0, pitch, midiio.NOTE_OFF))
+                timed.append((tick_of(t), 1, pitch, midiio.NOTE_ON))
+                start = t
+            elif not play[row, t] and start is not None:
+                timed.append((tick_of(t), 0, pitch, midiio.NOTE_OFF))
+                start = None
+        if start is not None:
+            timed.append((tick_of(matrix.n_steps), 0, pitch,
+                          midiio.NOTE_OFF))
+    timed.sort(key=lambda e: (e[0], e[1], e[2]))
+
+    tempo_us = _round_half_up(60_000_000.0 / tempo_bpm)
+    track = [MidiEvent(0, midiio.TEMPO, tempo_us=tempo_us)]
+    cursor = 0
+    for tick, _, pitch, kind in timed:
+        velocity = 72 if kind == midiio.NOTE_ON else 0
+        track.append(MidiEvent(tick - cursor, kind,
+                               pitch=pitch, velocity=velocity))
+        cursor = tick
+    end_tick = max(tick_of(matrix.n_steps), cursor)
+    track.append(MidiEvent(end_tick - cursor, midiio.END_OF_TRACK))
+    return MidiSong(ticks_per_quarter=midiio.DEFAULT_DIVISION, tracks=[track])

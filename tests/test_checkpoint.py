@@ -116,6 +116,17 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="metadata"):
             checkpoint.read_checkpoint(path)
 
+    def test_metadata_that_is_not_an_object_is_reported(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        checkpoint.write_checkpoint(path, {"w": np.ones(2)}, {})
+        data = bytearray(path.read_bytes())
+        assert data[12:14] == b"{}"
+        data[12:14] = b"[]"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match="metadata block: expected a JSON object"):
+            checkpoint.read_checkpoint(path)
+
     def test_overflowing_element_count_is_reported(self):
         # 2**64 - 2**33 + 1 values wrap a 64-bit element count negative
         data = (checkpoint.MAGIC + (1).to_bytes(4, "little")

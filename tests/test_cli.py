@@ -361,6 +361,20 @@ class TestEval:
         assert "'odd'" in capsys.readouterr().err
         assert not (workdir / "odd.csv").exists()
 
+    def test_metadata_that_is_not_an_object_is_refused(self, workdir,
+                                                        capsys):
+        odd = workdir / "list_meta.ckpt"
+        checkpoint.write_checkpoint(odd, {"w": np.ones(2)}, {})
+        data = bytearray(odd.read_bytes())
+        data[12:14] = b"[]"     # the 2-byte metadata block was {}
+        odd.write_bytes(bytes(data))
+        rc = cli.main(["eval", "--ckpt", str(odd),
+                       "--out", str(workdir / "odd.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "metadata block: expected a JSON object, got list" in err
+        assert not (workdir / "odd.csv").exists()
+
     def test_fixed_seed_reproduces_the_report(self, workdir,
                                               trained_ckpt):
         blobs = []

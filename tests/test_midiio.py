@@ -150,12 +150,35 @@ VALID_FILE = midiio.serialize_midi(midiio.to_midi(
     helpers.random_matrix(np.random.default_rng(3), n_notes=4, n_steps=8)))
 
 
-def parse_or_parse_error(data: bytes):
-    """parse_midi's only way to fail is MidiParseError."""
+def parses_like_oracle(data: bytes):
+    """parse_midi returns the byte-at-a-time oracle's song, or raises
+    MidiParseError (its only way to fail) with the oracle's message."""
     try:
-        midiio.parse_midi(data)
-    except MidiParseError:
-        pass
+        expected = helpers.oracle_parse_midi(data)
+    except MidiParseError as exc:
+        with pytest.raises(MidiParseError) as got:
+            midiio.parse_midi(data)
+        assert str(got.value) == str(exc)
+    else:
+        assert midiio.parse_midi(data) == expected
+
+
+# Deltas and events that reach every branch of the track decoder:
+# multi-byte and over-long deltas, running status, skipped channel and
+# system messages, tempo of good and bad length, end-of-track.
+DELTAS = [bytes(b) for b in (
+    [0x00], [0x78], [0x81, 0x00], [0xFF, 0xFF, 0xFF, 0x7F],
+    [0x80, 0x80, 0x80, 0x80])]
+EVENTS = [bytes(b) for b in (
+    [0x90, 60, 64], [0x90, 60, 0], [0x80, 60, 0], [0x91, 127, 1], [62, 70],
+    [0xB0, 7, 100], [0xC0, 5], [0xD0, 9], [0xF0, 0x02, 1, 2], [0xF7, 0x00],
+    [0xF2], [0xFF, 0x51, 0x03, 0x07, 0xA1, 0x20], [0xFF, 0x51, 0x02, 1, 2],
+    [0xFF, 0x01, 0x81, 0x00] + [65] * 128, [0xFF, 0x2F, 0x00])]
+TRACK_BODIES = st.builds(
+    lambda events, eot: b"".join(d + e for d, e in events) + (EOT * eot),
+    st.lists(st.tuples(st.sampled_from(DELTAS), st.sampled_from(EVENTS)),
+             max_size=24),
+    st.booleans())
 
 
 class TestParseFuzz:
@@ -166,17 +189,31 @@ class TestParseFuzz:
                      st.binary(max_size=96).map(
                          lambda b: header() + track_chunk(b))))
     def test_arbitrary_bytes(self, data):
-        parse_or_parse_error(data)
+        parses_like_oracle(data)
 
     @PROPERTIES
     @given(st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1),
                               st.integers(0, 255)), max_size=6),
-           st.integers(0, len(VALID_FILE)))
+           st.one_of(st.just(len(VALID_FILE)),
+                     st.integers(0, len(VALID_FILE))))
     def test_mutated_valid_file(self, edits, keep):
         data = bytearray(VALID_FILE)
         for pos, value in edits:
             data[pos] = value
-        parse_or_parse_error(bytes(data[:keep]))
+        parses_like_oracle(bytes(data[:keep]))
+
+    @PROPERTIES
+    @given(st.lists(st.one_of(TRACK_BODIES.map(track_chunk),
+                              st.just(b"XFIH" + bytes([0, 0, 0, 1, 9]))),
+                    min_size=1, max_size=3),
+           st.sampled_from([None, 0, 1, 4]), st.sampled_from([0, 1, 3]))
+    def test_spliced_events(self, chunks, n_tracks, drop):
+        """Tracks spliced from whole events under a header declaring
+        their number (or another), the file then cut short by drop
+        bytes."""
+        data = header(fmt=1, n_tracks=len(chunks) if n_tracks is None
+                      else n_tracks) + b"".join(chunks)
+        parses_like_oracle(data[:len(data) - drop])
 
 
 class TestVelocityZero:
@@ -222,6 +259,65 @@ class TestSerialize:
         a = helpers.song_from_notes(notes, n_steps)
         b = helpers.song_from_notes(notes, n_steps)
         assert a == b
+
+    @staticmethod
+    def one_note_song(**fields):
+        """A valid song with the note-on's fields overridden."""
+        note = dict(delta=0, kind=NOTE_ON, pitch=60, velocity=72)
+        note.update(fields)
+        return MidiSong(480, [[MidiEvent(0, TEMPO, tempo_us=500000),
+                               MidiEvent(**note),
+                               MidiEvent(0, END_OF_TRACK)]])
+
+    def assert_round_trips(self, song):
+        assert midiio.parse_midi(midiio.serialize_midi(song)) == song
+
+    # Each field's largest legal value round trips; one past it, which
+    # parse_midi would refuse or read back changed, is refused.
+    def test_delta_over_four_vlq_bytes_rejected(self):
+        self.assert_round_trips(self.one_note_song(delta=0x0FFFFFFF))
+        with pytest.raises(ValueError,
+                           match=r"track 0 event 1: delta 268435456 is "
+                                 r"outside 0\.\.268435455"):
+            midiio.serialize_midi(self.one_note_song(delta=1 << 28))
+
+    def test_pitch_outside_midi_range_rejected(self):
+        self.assert_round_trips(self.one_note_song(pitch=127))
+        for pitch in (128, 200, -1):
+            with pytest.raises(ValueError,
+                               match=f"track 0 event 1: pitch {pitch} "):
+                midiio.serialize_midi(self.one_note_song(pitch=pitch))
+
+    def test_velocity_outside_midi_range_rejected(self):
+        self.assert_round_trips(self.one_note_song(velocity=127))
+        for velocity in (128, 300, -1):
+            song = self.one_note_song(kind=NOTE_OFF, velocity=velocity)
+            with pytest.raises(ValueError,
+                               match=f"track 0 event 1: velocity {velocity} "):
+                midiio.serialize_midi(song)
+
+    def test_tempo_outside_three_bytes_rejected(self):
+        song = self.one_note_song()
+        song.tracks[0][0].tempo_us = 0xFFFFFF
+        self.assert_round_trips(song)
+        for tempo_us in (1 << 24, -1):
+            song.tracks[0][0].tempo_us = tempo_us
+            with pytest.raises(ValueError,
+                               match=f"track 0 event 0: tempo_us {tempo_us} "):
+                midiio.serialize_midi(song)
+
+    def test_ticks_per_quarter_outside_metrical_range_rejected(self):
+        song = self.one_note_song()
+        for division in (1, 0x7FFF):
+            song.ticks_per_quarter = division
+            self.assert_round_trips(song)
+        # 0x8064 would read back as SMPTE, 0 as a zero division
+        for division in (0, 0x8000, 0x8064, 70000):
+            song.ticks_per_quarter = division
+            with pytest.raises(ValueError,
+                               match=f"ticks_per_quarter {division} is "
+                                     r"outside 1\.\.32767"):
+                midiio.serialize_midi(song)
 
     def test_track_missing_eot_rejected(self):
         song = MidiSong(480, [[MidiEvent(0, NOTE_ON, pitch=60, velocity=1)]])
@@ -320,6 +416,77 @@ class TestQuantize:
         song.tracks[0][-1].delta = 1
         with pytest.raises(ValueError, match="MAX_STEPS"):
             midiio.quantize(song, note_low=60, n_notes=1)
+
+
+class TestToMidiOracle:
+
+    @PROPERTIES
+    @given(st.sampled_from([6, 1, 10, 3]),
+           st.sampled_from([32, 1, 7, 40, 2, 16]), st.integers(0, 118),
+           # 7, 9, 11 and 2500 do not divide 1920; above 1920 steps per
+           # measure, neighbouring steps share a tick
+           st.sampled_from([16, 3, 4, 7, 9, 11, 32, 1920, 2500, 4000]),
+           st.sampled_from([120.0, 97.0, 61.3, 333.0]),
+           st.sampled_from([0.15, 0.5, 0.85, 0.3, 0.0]),
+           st.integers(0, 2**32 - 1))
+    def test_bytes_match_the_cell_loop(self, n_notes, n_steps, note_low,
+                                       steps_per_measure, tempo, density,
+                                       seed):
+        """Random valid rolls, silent ones (density 0) and one-step ones
+        among them, with held notes, re-strikes and notes still sounding
+        at the last step."""
+        rng = np.random.default_rng(seed)
+        play = rng.random((n_notes, n_steps)) < density
+        artic = play & (rng.random((n_notes, n_steps)) < 0.3)
+        artic[:, 0] |= play[:, 0]
+        artic[:, 1:] |= play[:, 1:] & ~play[:, :-1]
+        m = NoteStateMatrix(np.stack([play, artic], -1).astype(np.uint8),
+                            note_low, steps_per_measure)
+        expected = helpers.oracle_to_midi(m, tempo)
+        song = midiio.to_midi(m, tempo)
+        assert song == expected
+        assert (midiio.serialize_midi(song)
+                == midiio.serialize_midi(expected))
+
+
+def note_events(pitches):
+    """Note-ons (velocity 0 often), note-offs and tempo changes at
+    deltas that land on, between and just off step boundaries."""
+    delta = st.one_of(st.sampled_from([0, 0, 1, 59, 60, 61, 119, 120, 240]),
+                      st.integers(0, 2000))
+    return st.one_of(
+        st.builds(lambda d, p, v: MidiEvent(d, NOTE_ON, p, v), delta,
+                  pitches, st.one_of(st.just(0), st.integers(0, 127))),
+        st.builds(lambda d, p, v: MidiEvent(d, NOTE_OFF, p, v), delta,
+                  pitches, st.integers(0, 127)),
+        st.builds(lambda d: MidiEvent(d, TEMPO, tempo_us=400000), delta))
+
+
+def quantize_or_error(quantize, song, *args):
+    try:
+        return quantize(song, *args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestQuantizeOracle:
+
+    @PROPERTIES
+    @given(st.data())
+    def test_matches_the_per_note_rasterizer(self, data):
+        """Several tracks over a few rows, so same-pitch notes overlap
+        across tracks, velocity-0 note-ons close notes and note-ons
+        dangle at a track's end; pitches also fall outside the range."""
+        note_low, n_notes = 60, 5
+        tracks = data.draw(st.lists(
+            st.lists(note_events(st.integers(58, 66)), max_size=30),
+            min_size=1, max_size=4), "tracks")
+        division = data.draw(st.sampled_from([480, 96, 7, 1]), "division")
+        steps_per_measure = data.draw(st.integers(1, 24), "steps")
+        song = MidiSong(division, tracks)
+        args = (note_low, n_notes, steps_per_measure)
+        assert (quantize_or_error(midiio.quantize, song, *args)
+                == quantize_or_error(helpers.oracle_quantize, song, *args))
 
 
 class TestRoundTrip:
