@@ -11,6 +11,7 @@ it applies.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -106,7 +107,7 @@ def song_metrics(actions, config: TheoryConfig) -> dict:
     out["unique_lowest_pct"] = \
         100.0 * (bool(pitches) and pitches.count(min(pitches)) == 1)
 
-    in_motif, in_repeated = _motif_coverage(actions)
+    in_motif, in_repeated = _motif_coverage(actions, pitches)
     out["notes_in_motif_pct"] = _pct(in_motif, len(pitches))
     out["notes_in_repeated_motif_pct"] = _pct(in_repeated, len(pitches))
     return out
@@ -116,22 +117,25 @@ def _pct(count, denom) -> float:
     return 100.0 * count / denom if denom else 0.0
 
 
-def _motif_coverage(actions):
+def _motif_coverage(actions, pitches):
     """Count onsets covered by at least one motif window, and by at
-    least one window whose material recurs earlier in the piece."""
-    onset_at = [theory.is_onset(a) for a in actions]
+    least one window whose material recurs earlier in the piece.
+    pitches are the song's onset pitches; with before[k] the number of
+    onsets among the first k actions, each window's pitches and the
+    earlier ones are slices of them."""
+    onset_at = np.array([theory.is_onset(a) for a in actions], dtype=bool)
+    before = [0, *itertools.accumulate(onset_at.tolist())]
     motif = np.zeros(len(actions), dtype=bool)
     repeated = np.zeros(len(actions), dtype=bool)
     for end in range(MOTIF_WINDOW, len(actions) + 1):
-        prefix = actions[:end]
-        if theory.is_motif(theory.motif_content(prefix)):
+        first = before[end - MOTIF_WINDOW]
+        window = pitches[first:before[end]]
+        if theory.is_motif(window):
             motif[end - MOTIF_WINDOW:end] = True
-            if theory.motif_repeats_earlier(prefix):
+            if theory.occurs_in(window, pitches[:first]):
                 repeated[end - MOTIF_WINDOW:end] = True
-    in_motif = sum(1 for i, on in enumerate(onset_at) if on and motif[i])
-    in_repeated = sum(1 for i, on in enumerate(onset_at)
-                      if on and repeated[i])
-    return in_motif, in_repeated
+    return (int(np.count_nonzero(motif & onset_at)),
+            int(np.count_nonzero(repeated & onset_at)))
 
 
 def evaluate(melodies, config: TheoryConfig) -> MetricReport:

@@ -214,7 +214,8 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     else:
         if rng is None:
             raise ValueError("sampling the note scan requires an rng")
-        samples = _sample_note_scan(params, xs, rng, keep_masks)
+        samples = _sample_note_scan(params, xs, rng, nn.StackStepper(
+            params.notewise, xs.shape[1], keep_masks))
     stream, caches, _ = nn.stack_forward(params.notewise, xs,
                                          keep_masks=keep_masks,
                                          ws=nn.scope(ws, "notewise"))
@@ -226,16 +227,17 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
 
 
 def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
-                      keep_masks=None):
+                      stepper):
     """Run the note scan sequentially, sampling each note's pair and
     feeding it to the next. xs (N, R, H + 2) holds the time scan's
     output in its first H columns; the last two of xs[n] are filled
     with the pair sampled at note n-1 (zeros at note 0), so xs ends up
-    the scan's realized input. Each note is one step of an
-    nn.StackStepper, so the scan allocates its buffers once. Returns
-    the samples (N, R, 2)."""
+    the scan's realized input. Each note is one step of stepper, an
+    nn.StackStepper over params.notewise with R rows (and the scan's
+    dropout masks), reset here to its zero state, so a caller that
+    scans again keeps its buffers. Returns the samples (N, R, 2)."""
     n, r, _ = xs.shape
-    stepper = nn.StackStepper(params.notewise, r, keep_masks)
+    stepper.reset()
     proj_t, proj_b = params.proj_w.T, params.proj_b
     logits = np.empty((r, 2))
     samples = np.zeros((n, r, 2))
@@ -399,8 +401,9 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
 
     One silent column, sitting just before position 0 so the first
     generated column lands on a measure boundary, opens the time scan.
-    Each sampled column is fed back as the next input. No dropout is
-    active here.
+    Each sampled column is fed back as the next input; every column's
+    note scan steps the same nn.StackStepper. No dropout is active
+    here.
     """
     n = cfg.n_notes
     states = [(np.zeros((n, lay.hidden_size)), np.zeros((n, lay.hidden_size)))
@@ -409,13 +412,15 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
     out = np.zeros((n, steps, 2), dtype=np.uint8)
     # the note scan over one step, its feedback pairs filled as sampled
     xs = np.zeros((n, 1, params.timewise[-1].hidden_size + 2))
+    stepper = nn.StackStepper(params.notewise, 1)
     prev_play = np.zeros(n, dtype=bool)
     for j in range(steps):
         feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
                                np.array([j - 1]))[0]
         top, states = nn.stack_step(params.timewise, feats, states)
         xs[:, 0, :-2] = top
-        col = _sample_note_scan(params, xs, rng)[:, 0].astype(np.uint8)
+        col = _sample_note_scan(params, xs, rng, stepper)[:, 0].astype(
+            np.uint8)
         # A note switching on out of silence is an onset by definition,
         # so its articulation bit must be set.
         col[:, 1] |= col[:, 0] & ~prev_play

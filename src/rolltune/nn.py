@@ -6,8 +6,8 @@ input projection per layer and one sigmoid call per step, stack_backward
 backpropagates through that scan, and stack_step is the scan at length
 1. StackStepper steps a stack through a scan whose inputs are known only
 one step at a time (each note of a sampled column), in buffers allocated
-once per scan; its elementwise update is _cell_update, the same one
-stack_forward's step loop calls. Adadelta and the finite-difference
+once and reset between scans; its elementwise update is _cell_update,
+the same one stack_forward's step loop calls. Adadelta and the finite-difference
 checker are written out explicitly so that every gradient the package
 relies on can be verified against an independent numerical oracle.
 
@@ -28,7 +28,12 @@ Conventions:
     matrix products keep their row-major (R, 4H) operands,
   * a Workspace keeps a pass's arrays for the next pass of the same
     shapes, so a training or Q-update loop stops allocating (and the
-    kernel faulting in) tens of megabytes per iteration. A function
+    kernel faulting in) tens of megabytes per iteration. It also keeps
+    each scan's per-step views of those arrays (the step's gate block,
+    its gate-major pre-activations, the i/f/o and g slabs, its c and h
+    slots and the scratch slices), built once and rebuilt only when one
+    of the arrays they view is replaced, because at a few rows building
+    them costs as much as the step's arithmetic. A function
     given ws=... writes its scans, scratch and caches into the
     workspace, and every such array is valid until the next pass on
     the same workspace. A backward pass on a workspace spends what it
@@ -94,11 +99,17 @@ class Workspace:
     given (see stack_backward). Whatever must outlive a pass (gradient
     blocks, returned values, states kept for later) is always a fresh
     array.
+
+    views(key, build, *arrays) keeps what build(*arrays) returns, views
+    of those arrays, and returns it again while every one of them is
+    still the array under its key here: a key whose shape changes gets
+    a new array, and that invalidates the views built over it.
     """
 
     def __init__(self):
         self._arrays = {}
         self._scopes = {}
+        self._views = {}
 
     def empty(self, key, shape) -> np.ndarray:
         """The array under key, uninitialized; a new one when the key is
@@ -107,6 +118,14 @@ class Workspace:
         if arr is None or arr.shape != shape:
             arr = self._arrays[key] = np.empty(shape)
         return arr
+
+    def views(self, key, build, *arrays):
+        """build(*arrays), made on first use and again only when one of
+        arrays is not the object it was last built from."""
+        kept = self._views.get(key)
+        if kept is None or any(a is not b for a, b in zip(kept[0], arrays)):
+            kept = self._views[key] = (arrays, build(*arrays))
+        return kept[1]
 
     def scope(self, name) -> "Workspace":
         """The child workspace under name, made on first use."""
@@ -126,6 +145,12 @@ def buffer(ws, key, shape) -> np.ndarray:
     """An uninitialized float64 array: ws's array under key, or a fresh
     one when ws is None."""
     return np.empty(shape) if ws is None else ws.empty(key, shape)
+
+
+def views(ws, key, build, *arrays):
+    """build(*arrays), kept in ws under key (see Workspace.views), or
+    built afresh when ws is None."""
+    return build(*arrays) if ws is None else ws.views(key, build, *arrays)
 
 
 def scope(ws, name):
@@ -240,12 +265,14 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     list of (h, c) pairs of shape (R, H), is read and never written.
     Returns the top stream (S, R, H_top), a cache for stack_backward,
     and the final (h, c) list, which are views of the cache's last step.
-    With a Workspace ws, every array of the scan is ws's (see Workspace).
+    With a Workspace ws, every array of the scan is ws's, and so are the
+    per-step views of them (see Workspace).
 
     Inputs are projected in one matrix product per layer into a
     row-major (S, R, 4H) gates buffer. Each step adds the recurrent
     product h_prev @ wh.T to its (R, 4H) block and copies the result
-    into a (4, R, H) gate-major scratch. One sigmoid call activates i, f
+    into a (4, R, H) gate-major scratch; the product itself is formed
+    in that scratch's memory, which the copy then overwrites. One sigmoid call activates i, f
     and o and one tanh the candidate g, writing into the step's own
     block read as (4, R, H), which is what the cache keeps. Then
     c = f * c_prev + i * g and h = o * tanh(c) are written straight
@@ -267,19 +294,15 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
         np.matmul(stream.reshape(s_len * rows, -1), wx.T,
                   out=gates.reshape(s_len * rows, 4 * hs))
         gates += b
-        # the same memory twice: step s's pre-activations seen gate-major,
-        # and its block reinterpreted as (4, R, H) to hold the activations
-        pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
-        acts = gates.reshape(s_len, 4, rows, hs)
         c_all = buffer(ws, ("c", li), (s_len + 1, rows, hs))
         h_all = buffer(ws, ("h", li), (s_len + 1, rows, hs))
-        rec = buffer(ws, ("rec", hs), (rows, 4 * hs))
         z = buffer(ws, ("z", hs), (4, rows, hs))
-        wh_t = wh.T
-        for gate_s, pre_s, act, c_out, h_out in zip(
-                gates, pre, acts, c_all[1:], h_all[1:]):
+        rec = z.reshape(rows, 4 * hs)
+        wh_t = _recurrent_operand(wh, rows)
+        for gate_s, cell in views(ws, ("steps", li), _scan_views,
+                                  gates, c_all, h_all, z):
             gate_s += np.matmul(h, wh_t, rec)
-            c, h = _cell_update(pre_s, z, act, c, c_out, h_out)
+            c, h = _cell_update(cell, c)
         mask = None if keep_masks is None else keep_masks[li]
         caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
         finals.append((h, c))
@@ -290,21 +313,59 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     return stream, caches, finals
 
 
-def _cell_update(pre, z, act, c_prev, c_out, h_out):
-    """One step's elementwise LSTM update, the one stack_forward and
-    StackStepper share. pre is the step's (R, 4H) pre-activation block
-    read gate-major as (4, R, H); it is copied into the (4, R, H)
-    scratch z. One sigmoid call writes i, f and o and one tanh the
-    candidate g into act (4, R, H). Then c = f * c_prev + i * g goes
-    into c_out and h = o * tanh(c) into h_out, which may be c_prev's
-    own memory and the spent h_prev's. Returns (c, h)."""
-    z[...] = pre
+def _recurrent_operand(wh, rows):
+    """wh.T as the recurrent product's right operand: a C-contiguous
+    copy, which numpy multiplies faster, once the product has two rows
+    or more. At one row numpy takes a matrix-vector product whose bits
+    differ between the two layouts, so the strided view stays."""
+    return wh.T if rows == 1 else np.ascontiguousarray(wh.T)
+
+
+def _scan_views(gates, c_all, h_all, z):
+    """Per step s of a scan over these buffers: its (R, 4H) gate block
+    and the _cell_update views that read its pre-activations and write
+    its activated gates, c_all[s + 1] and h_all[s + 1]."""
+    s_len, rows, four_h = gates.shape
+    hs = four_h // 4
+    # the same memory twice: step s's pre-activations seen gate-major,
+    # and its block reinterpreted as (4, R, H) to hold the activations
+    pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
+    acts = gates.reshape(s_len, 4, rows, hs)
+    scratch = _scratch_views(z)
+    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out))
+            for gate_s, pre_s, act, c_out, h_out in zip(
+                gates, pre, acts, c_all[1:], h_all[1:])]
+
+
+def _scratch_views(z):
+    """The (4, R, H) scratch z with its i/f/o and g slices."""
+    return z, z[:3], z[3]
+
+
+def _cell_views(pre, act, scratch, c_out, h_out):
+    """The views one _cell_update reads and writes: the step's (R, 4H)
+    pre-activation block read gate-major as (4, R, H), the scratch
+    views, the activated gates act (4, R, H) with their i/f/o and g
+    slices, and the c and h outputs."""
     i, f, o, g = act
-    sigmoid(z[:3], act[:3])
-    np.tanh(z[3], g)
-    c = np.multiply(f, c_prev, c_out)
-    c += np.multiply(i, g, z[3])    # the tanh above consumed z[3]
-    h = np.tanh(c, h_out)
+    return (pre, *scratch, act[:3], i, f, o, g, c_out, h_out)
+
+
+def _cell_update(cell, c_prev):
+    """One step's elementwise LSTM update, the one stack_forward and
+    StackStepper share, over the views _cell_views built. The
+    pre-activations are copied into the scratch z. One sigmoid call
+    writes i, f and o and one tanh the candidate g into the activated
+    gates. Then c = f * c_prev + i * g goes into the c output and
+    h = o * tanh(c) into the h output, which may be c_prev's own memory
+    and the spent h_prev's. Returns (c, h)."""
+    pre, z, z_ifo, z_g, ifo, i, f, o, g, c, h = cell
+    z[...] = pre
+    sigmoid(z_ifo, ifo)
+    np.tanh(z_g, g)
+    np.multiply(f, c_prev, c)
+    c += np.multiply(i, g, z_g)    # the tanh above consumed z_g
+    np.tanh(c, h)
     h *= o
     return c, h
 
@@ -312,38 +373,49 @@ def _cell_update(pre, z, act, c_prev, c_out, h_out):
 class StackStepper:
     """Advance a stack one step at a time through one scan, from a zero
     state, in memory allocated once: each layer's (R, 4H) gate block,
-    its (4, R, H) scratch, its recurrent product and its h and c rows.
+    its (4, R, H) scratch, which also takes the recurrent product, and
+    its h and c rows, with the views _cell_update works on built over
+    them once too.
+    reset() returns it to the zero state, so one stepper serves every
+    scan while the weights stay unchanged.
 
     step(x) takes (R, D) and returns the top output after any dropout
     mask, valid until the next step. It equals stack_step on the same
     input and state bit for bit: x @ wx.T, then + b, then + h @ wh.T,
-    with the operand shapes of a length-1 scan, then _cell_update.
+    with the operands of a length-1 scan, then _cell_update.
     Masks apply to the stream passed upward, not to the recurrent path.
     """
 
     def __init__(self, layers, rows, keep_masks=None):
-        self._layers = []
+        self._layers, self._states = [], []
         for li, layer in enumerate(layers):
             hs = layer.hidden_size
             wx, wh, b = layer.packed()
-            block = np.empty((rows, 4 * hs))
+            block, z = np.empty((rows, 4 * hs)), np.empty((4, rows, hs))
+            h, c = np.zeros((rows, hs)), np.zeros((rows, hs))
+            self._states.append((h, c))
+            cell = _cell_views(block.reshape(rows, 4, hs).transpose(1, 0, 2),
+                               block.reshape(4, rows, hs),
+                               _scratch_views(z), c, h)
             mask = None if keep_masks is None else keep_masks[li]
             self._layers.append((
-                wx.T, wh.T, b, block,
-                block.reshape(rows, 4, hs).transpose(1, 0, 2),    # pre
-                block.reshape(4, rows, hs),     # activated gates
-                np.empty((4, rows, hs)),        # scratch z
-                np.empty((rows, 4 * hs)),       # h @ wh.T
-                np.zeros((rows, hs)), np.zeros((rows, hs)),   # h, c
-                mask, None if mask is None else np.empty((rows, hs))))
+                wx.T, _recurrent_operand(wh, rows), b, block,
+                z.reshape(rows, 4 * hs), cell, h, c, mask,
+                None if mask is None else np.empty((rows, hs))))
+
+    def reset(self):
+        """Zero every layer's h and c, as a new stepper starts."""
+        for h, c in self._states:
+            h.fill(0.0)
+            c.fill(0.0)
 
     def step(self, x):
-        for (wx_t, wh_t, b, block, pre, act, z, rec, h, c, mask,
+        for (wx_t, wh_t, b, block, rec, cell, h, c, mask,
              masked) in self._layers:
             np.matmul(x, wx_t, block)
             block += b
             block += np.matmul(h, wh_t, rec)
-            _cell_update(pre, z, act, c, c, h)
+            _cell_update(cell, c)
             x = h if mask is None else np.multiply(h, mask, masked)
         return x
 

@@ -222,9 +222,13 @@ def motif_repeats_earlier(actions) -> bool:
     if not is_motif(seq):
         return False
     all_pitches = onset_pitches(actions)
-    earlier = all_pitches[:len(all_pitches) - len(seq)]
-    n, q = len(earlier), len(seq)
-    return any(earlier[i:i + q] == seq for i in range(n - q + 1))
+    return occurs_in(seq, all_pitches[:len(all_pitches) - len(seq)])
+
+
+def occurs_in(seq, pitches) -> bool:
+    """True when the list seq occurs contiguously in the list pitches."""
+    n, q = len(pitches), len(seq)
+    return any(pitches[i:i + q] == seq for i in range(n - q + 1))
 
 
 def theory_reward(history, action: int,

@@ -250,10 +250,13 @@ class RewardModel:
     note_low: int
     n_notes: int
 
-    def log_dist(self, snapshot: TrunkSnapshot):
+    def log_dist(self, snapshot: TrunkSnapshot, ws=None):
         """(B, 38) normalized log-probabilities over the actions, plus
-        the advanced trunk cells for chaining the next snapshot."""
-        scores, finals, _ = trunk_scores(self.trunk, self.note_low, snapshot)
+        the advanced trunk cells for chaining the next snapshot. The
+        log-probabilities are fresh; with an nn.Workspace ws the cells
+        are ws's arrays."""
+        scores, finals, _ = trunk_scores(self.trunk, self.note_low, snapshot,
+                                         ws)
         return scores - nn.logsumexp(scores, axis=1)[:, None], finals
 
 
@@ -297,9 +300,11 @@ class MelodyQNetwork:
         q = scores @ self.head_w.T + self.head_b
         return q, (inner, scores, finals)
 
-    def act(self, snapshot: TrunkSnapshot):
-        """(B, 38) Q-values for a snapshot plus the advanced cells."""
-        q, (_, _, finals) = self.q_batch([snapshot])
+    def act(self, snapshot: TrunkSnapshot, ws=None):
+        """(B, 38) Q-values for a snapshot plus the advanced cells. The
+        Q-values are fresh; with an nn.Workspace ws the cells are ws's
+        arrays."""
+        q, (_, _, finals) = self.q_batch([snapshot], ws)
         return q, finals
 
     def backward(self, cache, dq: np.ndarray, ws=None) -> dict:
@@ -447,31 +452,34 @@ def tune(primed: BiaxialParams, cfg, rng):
     reward) row per iteration.
     """
     cfg.validate()
-    reward_model = RewardModel(primed.copy(), cfg.note_low, cfg.n_notes)
+    # frozen, so it reads the primed weights where they are
+    reward_model = RewardModel(primed, cfg.note_low, cfg.n_notes)
     qnet = MelodyQNetwork.from_primed(primed, cfg.note_low, cfg.n_notes)
     target = qnet.copy()
     optimizer = nn.Adadelta(rho=cfg.adadelta_rho, eps=cfg.adadelta_eps,
                             lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.replay_capacity)
-    update_ws = nn.Workspace()
+    # the B=1 reads, act and log_dist, share one workspace: each call's
+    # cells are copied before the next call writes over them
+    read_ws, update_ws = nn.Workspace(), nn.Workspace()
     q_snapshot = r_snapshot = fresh_snapshot(primed, cfg.n_notes)
     history = []
     trace = []
     for it in range(cfg.rl_iterations):
-        q_rows, q_cells = qnet.act(q_snapshot)
+        q_rows, q_cells = qnet.act(q_snapshot, read_ws)
         epsilon = epsilon_at(it, cfg.rl_iterations, cfg.epsilon_start,
                              cfg.epsilon_end)
         action = choose_action(q_rows[0], rng, exploration=cfg.exploration,
                                epsilon=epsilon,
                                temperature=cfg.temperature)
-        log_dist, r_cells = reward_model.log_dist(r_snapshot)
+        q_next = q_snapshot.advance(q_cells, [action], len(history),
+                                    cfg.note_low)
+        log_dist, r_cells = reward_model.log_dist(r_snapshot, read_ws)
         log_p = float(log_dist[0, action])
         breakdown = theory_reward(history, action, cfg)
         reward = log_p + breakdown.total / cfg.c_weight
         terminal = len(history) == cfg.episode_len - 1
 
-        q_next = q_snapshot.advance(q_cells, [action], len(history),
-                                    cfg.note_low)
         buffer.append(Transition(q_snapshot, action, reward, q_next,
                                  terminal))
         trace.append((it, reward, log_p, breakdown.total))
@@ -480,7 +488,8 @@ def tune(primed: BiaxialParams, cfg, rng):
             q_snapshot = r_snapshot = fresh_snapshot(primed, cfg.n_notes)
             history = []
         else:
-            q_snapshot, r_snapshot = q_next, replace(q_next, cells=r_cells)
+            q_snapshot, r_snapshot = q_next, replace(
+                q_next, cells=[(h.copy(), c.copy()) for h, c in r_cells])
             history.append(action)
 
         if len(buffer) >= cfg.rl_batch_size:
@@ -497,8 +506,9 @@ def tune(primed: BiaxialParams, cfg, rng):
 
 def _play(model, score, cfg, rng, songs, greedy: bool, temperature: float):
     """The one lockstep step loop. Plays `songs` episodes (one when
-    None), SONGS_IN_FLIGHT at a time; each step makes one score(snapshot)
-    call, giving (B, 38) action scores and the advanced cells, and one
+    None), SONGS_IN_FLIGHT at a time; each step makes one
+    score(snapshot, ws) call on one nn.Workspace kept for the whole
+    play, giving (B, 38) action scores and the advanced cells, and one
     choose_action call over the batch: the argmax when greedy, otherwise
     a Boltzmann draw at `temperature`. Returns the melody, or the list
     of melodies when songs is given."""
@@ -507,13 +517,13 @@ def _play(model, score, cfg, rng, songs, greedy: bool, temperature: float):
     count = 1 if songs is None else songs
     if count < 1:
         raise ValueError(f"songs must be positive, got {songs}")
-    melodies = []
+    melodies, ws = [], nn.Workspace()
     for first in range(0, count, SONGS_IN_FLIGHT):
         snapshot = fresh_snapshot(model.trunk, model.n_notes,
                                   min(SONGS_IN_FLIGHT, count - first))
         actions = np.empty((len(snapshot), cfg.episode_len), dtype=np.int64)
         for step in range(cfg.episode_len):
-            scores, cells = score(snapshot)
+            scores, cells = score(snapshot, ws)
             actions[:, step] = choose_action(scores, rng, **explore)
             snapshot = snapshot.advance(cells, actions[:, step], step,
                                         model.note_low)

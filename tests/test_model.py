@@ -276,17 +276,18 @@ class TestWorkspace:
 
     def test_desk_pass_holds_no_spent_copies(self):
         """A desk-sized training pass (batch 4 x 36 notes x 32 steps,
-        one 24-unit layer per axis, keep_prob 0.75) keeps 18,118,656
+        one 24-unit layer per axis, keep_prob 0.75) keeps 17,909,760
         bytes of workspace. The time stack's masked output lives only in
-        the note scan's input, masks apply to gradients in place, and
-        the note scan's input gradient is written over its input."""
+        the note scan's input, masks apply to gradients in place, the
+        note scan's input gradient is written over its input, and each
+        scan forms its recurrent product in its gate-major scratch."""
         rng = np.random.default_rng(27)
         params = model.init_biaxial_params([24], [24], rng)
         batch = small_batch(rng, b=4, n=36, t=32, note_low=48)
         ws = nn.Workspace()
         model.loss_gradients(params, batch, 48, rng=rng, keep_prob=0.75,
                              ws=ws)
-        assert sum(arr.nbytes for arr in ws.arrays()) == 18_118_656
+        assert sum(arr.nbytes for arr in ws.arrays()) == 17_909_760
 
 
 class TestParamArrays:
@@ -505,7 +506,9 @@ class TestSampleNoteScan:
         want_xs, got_xs = xs.copy(), xs.copy()
         want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
         want = reference_sample_note_scan(params, want_xs, want_rng, masks)
-        got = model._sample_note_scan(params, got_xs, got_rng, masks)
+        got = model._sample_note_scan(
+            params, got_xs, got_rng,
+            nn.StackStepper(params.notewise, rows, masks))
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_xs, want_xs)
         assert got_rng.random() == want_rng.random()
@@ -514,15 +517,18 @@ class TestSampleNoteScan:
 
     def test_desk_generation_matches_the_oracle(self, monkeypatch):
         """32 columns at the desk shape: 36 notes from MIDI 48, one
-        24-unit layer per axis."""
+        24-unit layer per axis. generate steps every column through one
+        stepper; the oracle makes none."""
         rng = np.random.default_rng(29)
         params = small_params(rng, timewise=(24,), notewise=(24,))
         cfg = RunConfig(n_notes=36, note_low=48, timewise_hidden=[24],
                         notewise_hidden=[24])
         got_rng = np.random.default_rng(6)
         got = model.generate(params, cfg, 32, got_rng)
-        monkeypatch.setattr(model, "_sample_note_scan",
-                            reference_sample_note_scan)
+        monkeypatch.setattr(
+            model, "_sample_note_scan",
+            lambda params, xs, rng, stepper: reference_sample_note_scan(
+                params, xs, rng))
         want_rng = np.random.default_rng(6)
         want = model.generate(params, cfg, 32, want_rng)
         np.testing.assert_array_equal(got.data, want.data)

@@ -318,6 +318,25 @@ class TestStackStepper:
             want, states = nn.stack_step(layers, x, states, masks)
             np.testing.assert_array_equal(stepper.step(x), want)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("hidden", [(5,), (5, 3)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_reset_equals_a_fresh_stepper(self, rows, hidden, masked):
+        rng = np.random.default_rng(27)
+        layers, size = [], 6
+        for hs in hidden:
+            layers.append(random_cell(size, hs, rng))
+            size = hs
+        masks = ([nn.dropout_mask((rows, hs), 0.6, rng) for hs in hidden]
+                 if masked else None)
+        stepper = nn.StackStepper(layers, rows, masks)
+        for x in rng.normal(size=(4, rows, 6)):
+            stepper.step(x)
+        stepper.reset()
+        fresh = nn.StackStepper(layers, rows, masks)
+        for x in rng.normal(size=(5, rows, 6)):
+            np.testing.assert_array_equal(stepper.step(x), fresh.step(x))
+
 
 class TestGateMajorScan:
     """The gate-major kernel against the row-major reference scan: the
@@ -405,6 +424,87 @@ class TestWorkspace:
         assert nn.scope(None, "time") is None
         a = nn.buffer(None, "x", (2, 2))
         assert a.shape == (2, 2) and a is not nn.buffer(None, "x", (2, 2))
+
+    def test_views_are_kept_until_an_array_they_view_is_replaced(self):
+        ws = nn.Workspace()
+        built = []
+
+        def build(*arrays):
+            built.append(arrays)
+            return [arr[0] for arr in arrays]
+
+        a, b = ws.empty("a", (2, 3)), ws.empty("b", (3,))
+        first = ws.views("v", build, a, b)
+        assert ws.views("v", build, ws.empty("a", (2, 3)),
+                        ws.empty("b", (3,))) is first
+        assert len(built) == 1
+        again = ws.views("v", build, ws.empty("a", (4, 3)), b)
+        assert again is not first and len(built) == 2
+        assert np.shares_memory(again[0], ws.empty("a", (4, 3)))
+        assert nn.views(None, "v", build, a, b) is not first
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("hidden", [[5], [6, 3]])
+    @pytest.mark.parametrize("with_init", [False, True])
+    def test_scans_at_changing_rows_match_scans_without_one(
+            self, hidden, with_init):
+        """3, then 1, then 3 rows on one workspace: each change of rows
+        replaces the scan's buffers, so the views over them are built
+        again, and every pass equals the scan with ws=None to the bit."""
+        rng = np.random.default_rng(44 + len(hidden))
+        layers, size = [], 4
+        for hs in hidden:
+            layers.append(random_cell(size, hs, rng))
+            size = hs
+        ws = nn.Workspace()
+        for rows in (3, 1, 3):
+            xs = rng.normal(size=(6, rows, 4))
+            init = [(rng.normal(size=(rows, hs)),
+                     rng.normal(size=(rows, hs)))
+                    for hs in hidden] if with_init else None
+            stream, caches, finals = nn.stack_forward(layers, xs, init,
+                                                      ws=ws)
+            want, want_caches, want_finals = nn.stack_forward(layers, xs,
+                                                              init)
+            np.testing.assert_array_equal(stream, want)
+            for (h, c), (want_h, want_c) in zip(finals, want_finals):
+                np.testing.assert_array_equal(h, want_h)
+                np.testing.assert_array_equal(c, want_c)
+            for cache, want_cache in zip(caches, want_caches):
+                np.testing.assert_array_equal(cache.gates, want_cache.gates)
+                np.testing.assert_array_equal(cache.c[1:], want_cache.c[1:])
+                np.testing.assert_array_equal(cache.h[1:], want_cache.h[1:])
+
+    def test_a_second_pass_reuses_the_scans_views(self, monkeypatch):
+        """Each layer's per-step views are built on the first pass; a
+        second pass of the same shapes steps the very same view tuples,
+        and a pass with ws=None builds its own."""
+        built, stepped = [], []
+        scan_views, cell_update = nn._scan_views, nn._cell_update
+
+        def record_build(*arrays):
+            built.append(arrays)
+            return scan_views(*arrays)
+
+        def record_step(cell, c_prev):
+            stepped.append(cell)
+            return cell_update(cell, c_prev)
+
+        monkeypatch.setattr(nn, "_scan_views", record_build)
+        monkeypatch.setattr(nn, "_cell_update", record_step)
+        rng = np.random.default_rng(46)
+        layers = [random_cell(4, 5, rng), random_cell(5, 3, rng)]
+        ws = nn.Workspace()
+        nn.stack_forward(layers, rng.normal(size=(6, 2, 4)), ws=ws)
+        first, stepped[:] = list(stepped), []
+        assert len(built) == 2 and len(first) == 12
+        nn.stack_forward(layers, rng.normal(size=(6, 2, 4)), ws=ws)
+        assert len(built) == 2 and len(stepped) == 12
+        assert all(a is b for a, b in zip(stepped, first))
+        stepped[:] = []
+        nn.stack_forward(layers, rng.normal(size=(6, 2, 4)))
+        assert len(built) == 4 and len(stepped) == 12
+        assert not any(a is b for a, b in zip(stepped, first))
 
     @pytest.mark.parametrize("hidden", [[5], [6, 3]])
     @pytest.mark.parametrize("with_init", [False, True])

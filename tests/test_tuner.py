@@ -768,6 +768,23 @@ class TestTune:
         for name, arr in qnet_a.params().items():
             np.testing.assert_array_equal(arr, qnet_b.params()[name])
 
+    def test_shared_read_workspace_matches_fresh_reads(self, monkeypatch):
+        """act and log_dist share one workspace in tune; the trace and
+        the tuned weights equal a run whose reads use fresh arrays."""
+        primed = primed_params(np.random.default_rng(0))
+        cfg = make_rl_config(rl_iterations=20, rl_batch_size=4)
+        qnet_a, trace_a = tuner.tune(primed, cfg, np.random.default_rng(9))
+        act, log_dist = tuner.MelodyQNetwork.act, tuner.RewardModel.log_dist
+        monkeypatch.setattr(tuner.MelodyQNetwork, "act",
+                            lambda self, snapshot, ws: act(self, snapshot))
+        monkeypatch.setattr(
+            tuner.RewardModel, "log_dist",
+            lambda self, snapshot, ws: log_dist(self, snapshot))
+        qnet_b, trace_b = tuner.tune(primed, cfg, np.random.default_rng(9))
+        assert trace_a == trace_b
+        for name, arr in qnet_a.params().items():
+            np.testing.assert_array_equal(arr, qnet_b.params()[name])
+
     def test_primed_parameters_are_never_mutated(self):
         rng = np.random.default_rng(0)
         primed = primed_params(rng)
@@ -941,6 +958,41 @@ class TestRollouts:
         assert len(a) == songs
         assert all(len(m) == cfg.episode_len for m in a)
         assert all(0 <= act < MELODY_ACTIONS for m in a for act in m)
+
+    @pytest.mark.parametrize("player", ["primed", "tuned"])
+    def test_a_workspace_across_batches_matches_fresh_reads(self, player):
+        """65 songs: the play's workspace reallocates when the batch
+        goes from 64 songs to 1, and every step's scores equal the same
+        play read with ws=None, to the bit."""
+        rng = np.random.default_rng(0)
+        primed = primed_params(rng, timewise=(3,), notewise=(3,))
+        cfg = make_rl_config(timewise_hidden=[3], notewise_hidden=[3],
+                             episode_len=4)
+        net = (tuner.RewardModel(primed, 48, 36) if player == "primed"
+               else tuner.MelodyQNetwork.from_primed(primed, 48, 36))
+        read = net.log_dist if player == "primed" else net.act
+        got, want = [], []
+
+        def on_workspace(snapshot, ws):
+            assert ws is not None
+            scores, cells = read(snapshot, ws)
+            got.append(scores)
+            return scores, cells
+
+        def fresh(snapshot, ws):
+            scores, cells = read(snapshot)
+            want.append(scores)
+            return scores, cells
+
+        songs = tuner.SONGS_IN_FLIGHT + 1
+        a = tuner._play(net, on_workspace, cfg, np.random.default_rng(3),
+                        songs, False, 1.0)
+        b = tuner._play(net, fresh, cfg, np.random.default_rng(3), songs,
+                        False, 1.0)
+        assert a == b
+        assert [len(s) for s in got] == [songs - 1] * 4 + [1] * 4
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
 
     def test_songs_must_be_positive(self):
         rng = np.random.default_rng(0)
