@@ -95,8 +95,11 @@ def read_model_checkpoint(args, kinds, **flag_overrides):
         raise ValueError(f"checkpoint {args.ckpt} holds a {kind!r} model; "
                          f"this command reads {' or '.join(kinds)}")
     base = meta.get("config")
-    return kind, arrays, resolve_config(
-        args, base if isinstance(base, dict) else {}, **flag_overrides)
+    base = dict(base) if isinstance(base, dict) else {}
+    # a retired training option older checkpoints record; none of these
+    # commands trains
+    base.pop("teacher_forcing", None)
+    return kind, arrays, resolve_config(args, base, **flag_overrides)
 
 
 def cmd_train(args):

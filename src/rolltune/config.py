@@ -30,7 +30,6 @@ class RunConfig(TheoryConfig):
     timewise_hidden: list = field(default_factory=lambda: [64, 64])
     notewise_hidden: list = field(default_factory=lambda: [64, 32])
     keep_prob: float = 0.75
-    teacher_forcing: bool = True
     segment_len: int = 128
     batch_size: int = 8
     iterations: int = 1000

@@ -191,51 +191,40 @@ def sample_pairs(logits: np.ndarray, rng) -> np.ndarray:
 
 
 def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
-                  targets: np.ndarray = None, rng=None, keep_masks=None,
-                  ws=None):
-    """Scan the note axis on top of the time scan's output.
+                  targets: np.ndarray, keep_masks=None, ws=None):
+    """Scan the note axis on top of the time scan's output, teacher-forced:
+    each note's feedback pair is the next column's pair of the note below
+    it in targets (B, N, T, 2), as teacher_feedback builds it.
 
-    With targets, feedback is teacher-forced from the batch and samples
-    are not drawn. Without targets, each note's sampled pair feeds the
-    next note (rng required). Returns (logits, samples, cache) with
-    shapes (B, N, T, 2); cache backpropagates through the realized
-    inputs, treating feedback pairs as constants. The scan input, each
-    note's time output followed by its feedback pair, is written
-    note-major into one (N, B*T, H+2) array; a timewise_pass output on
-    the same workspace already sits there and is not copied.
+    Returns (logits, caches, stream): logits (B, N, T, 2), and the scan's
+    stack_forward caches and top stream (N, B*T, H_top), which backward
+    reads. The scan input, each note's time output followed by its
+    feedback pair, is written note-major into one (N, B*T, H+2) array; a
+    timewise_pass output on the same workspace already sits there and is
+    not copied.
     """
     b, n, t, hidden = timewise_out.shape
     xs, by_song = _note_inputs(ws, b, n, t, hidden)
     # numpy returns at once when assigning a view to itself
     by_song[..., :hidden] = timewise_out
-    if targets is not None:
-        by_song[..., hidden:] = teacher_feedback(targets)
-        samples = None
-    else:
-        if rng is None:
-            raise ValueError("sampling the note scan requires an rng")
-        samples = _sample_note_scan(params, xs, rng, nn.StackStepper(
-            params.notewise, xs.shape[1], keep_masks))
+    by_song[..., hidden:] = teacher_feedback(targets)
     stream, caches, _ = nn.stack_forward(params.notewise, xs,
                                          keep_masks=keep_masks,
                                          ws=nn.scope(ws, "notewise"))
     logits = stream @ params.proj_w.T + params.proj_b
-    cache = (caches, stream, xs)
-    return (_from_note_major(logits, b),
-            None if samples is None else _from_note_major(samples, b),
-            cache)
+    return _from_note_major(logits, b), caches, stream
 
 
 def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
                       stepper):
     """Run the note scan sequentially, sampling each note's pair and
-    feeding it to the next. xs (N, R, H + 2) holds the time scan's
-    output in its first H columns; the last two of xs[n] are filled
-    with the pair sampled at note n-1 (zeros at note 0), so xs ends up
-    the scan's realized input. Each note is one step of stepper, an
-    nn.StackStepper over params.notewise with R rows (and the scan's
-    dropout masks), reset here to its zero state, so a caller that
-    scans again keeps its buffers. Returns the samples (N, R, 2)."""
+    feeding it to the next: generate's note axis. xs (N, R, H + 2) holds
+    the time scan's output in its first H columns; the last two of xs[n]
+    are filled with the pair sampled at note n-1 (zeros at note 0), so xs
+    ends up the scan's realized input. Each note is one step of stepper,
+    an nn.StackStepper over params.notewise with R rows, reset here to
+    its zero state, so a caller that scans again keeps its buffers.
+    Returns the samples (N, R, 2)."""
     n, r, _ = xs.shape
     stepper.reset()
     proj_t, proj_b = params.proj_w.T, params.proj_b
@@ -279,7 +268,7 @@ def loss_with_gradient(logits, batch):
 
 
 def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
-                   rng=None, keep_prob=1.0, teacher_forcing=True, ws=None):
+                   rng=None, keep_prob=1.0, ws=None):
     """One full forward/backward pass over a batch of rolls (B, N, T, 2).
 
     Returns (loss value, log-likelihood per step, grads dict keyed like
@@ -299,11 +288,9 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
     feats = expand_batch(batch, note_low, ws)
     timewise_out, caches_t = timewise_pass(feats, params.timewise, masks_t,
                                            ws)
-    logits, _, (caches_n, stream_n, _) = notewise_pass(
-        timewise_out, params,
-        targets=np.asarray(batch, dtype=np.float64) if teacher_forcing
-        else None,
-        rng=rng, keep_masks=masks_n, ws=ws)
+    logits, caches_n, stream_n = notewise_pass(
+        timewise_out, params, np.asarray(batch, dtype=np.float64),
+        keep_masks=masks_n, ws=ws)
     value, loglik, dlogits = loss_with_gradient(logits, batch)
     return value, loglik, backward(params, caches_t, caches_n, stream_n,
                                    dlogits, ws)
@@ -387,7 +374,7 @@ def train(corpus, cfg, rng):
                                 cfg.steps_per_measure, rng)
         value, loglik, grads = loss_gradients(
             params, batch, cfg.note_low, rng=rng, keep_prob=cfg.keep_prob,
-            teacher_forcing=cfg.teacher_forcing, ws=ws)
+            ws=ws)
         try:
             opt.step(arrays, grads)
         except nn.NonFiniteGradientError as exc:

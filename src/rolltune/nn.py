@@ -4,12 +4,13 @@ Everything here operates on plain numpy float64 arrays, stored row-major.
 There is one LSTM kernel: stack_forward scans a stack of cells with one
 input projection per layer and one sigmoid call per step, stack_backward
 backpropagates through that scan, and stack_step is the scan at length
-1. StackStepper steps a stack through a scan whose inputs are known only
-one step at a time (each note of a sampled column), in buffers allocated
-once and reset between scans; its elementwise update is _cell_update,
-the same one stack_forward's step loop calls. Adadelta and the finite-difference
-checker are written out explicitly so that every gradient the package
-relies on can be verified against an independent numerical oracle.
+1. StackStepper steps a stack, without dropout, through a scan whose
+inputs are known only one step at a time (each note of a generated
+column), in buffers allocated once and reset between scans; its
+elementwise update is _cell_update, the same one stack_forward's step
+loop calls. Adadelta and the finite-difference checker are written out
+explicitly so that every gradient the package relies on can be
+verified against an independent numerical oracle.
 
 Conventions:
   * a "stack" is a list of LstmCellParams applied bottom to top,
@@ -379,16 +380,15 @@ class StackStepper:
     reset() returns it to the zero state, so one stepper serves every
     scan while the weights stay unchanged.
 
-    step(x) takes (R, D) and returns the top output after any dropout
-    mask, valid until the next step. It equals stack_step on the same
-    input and state bit for bit: x @ wx.T, then + b, then + h @ wh.T,
-    with the operands of a length-1 scan, then _cell_update.
-    Masks apply to the stream passed upward, not to the recurrent path.
+    step(x) takes (R, D) and returns the top output, valid until the
+    next step. It equals stack_step on the same input and state bit for
+    bit: x @ wx.T, then + b, then + h @ wh.T, with the operands of a
+    length-1 scan, then _cell_update. No dropout applies.
     """
 
-    def __init__(self, layers, rows, keep_masks=None):
+    def __init__(self, layers, rows):
         self._layers, self._states = [], []
-        for li, layer in enumerate(layers):
+        for layer in layers:
             hs = layer.hidden_size
             wx, wh, b = layer.packed()
             block, z = np.empty((rows, 4 * hs)), np.empty((4, rows, hs))
@@ -397,11 +397,8 @@ class StackStepper:
             cell = _cell_views(block.reshape(rows, 4, hs).transpose(1, 0, 2),
                                block.reshape(4, rows, hs),
                                _scratch_views(z), c, h)
-            mask = None if keep_masks is None else keep_masks[li]
-            self._layers.append((
-                wx.T, _recurrent_operand(wh, rows), b, block,
-                z.reshape(rows, 4 * hs), cell, h, c, mask,
-                None if mask is None else np.empty((rows, hs))))
+            self._layers.append((wx.T, _recurrent_operand(wh, rows), b,
+                                 block, z.reshape(rows, 4 * hs), cell, h, c))
 
     def reset(self):
         """Zero every layer's h and c, as a new stepper starts."""
@@ -410,13 +407,12 @@ class StackStepper:
             c.fill(0.0)
 
     def step(self, x):
-        for (wx_t, wh_t, b, block, rec, cell, h, c, mask,
-             masked) in self._layers:
+        for wx_t, wh_t, b, block, rec, cell, h, c in self._layers:
             np.matmul(x, wx_t, block)
             block += b
             block += np.matmul(h, wh_t, rec)
             _cell_update(cell, c)
-            x = h if mask is None else np.multiply(h, mask, masked)
+            x = h
         return x
 
 

@@ -197,9 +197,9 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     stream, t_caches, finals = nn.stack_forward(
         trunk.timewise, feats.reshape(1, b * n, -1),
         init_states=snapshot.cells, ws=nn.scope(ws, "timewise"))
-    logits, _, (n_caches, stream_n, _) = notewise_pass(
-        stream[0].reshape(b, n, 1, -1), trunk,
-        targets=np.zeros((b, n, 1, 2)), ws=ws)
+    logits, n_caches, stream_n = notewise_pass(
+        stream[0].reshape(b, n, 1, -1), trunk, np.zeros((b, n, 1, 2)),
+        ws=ws)
     # (M, B, 2) over the note-major buffer, so sums run along melody rows
     mel = logits[:, rows, 0].transpose(1, 0, 2)
     log_on, log_off = nn.log_sigmoid(mel), nn.log_sigmoid(-mel)

@@ -418,3 +418,47 @@ class TestParserPlumbing:
                        "--out", str(tmp_path / "x.ckpt")])
         assert rc != 0
         assert "gamma" in capsys.readouterr().err
+
+
+class TestRetiredConfigKey:
+    """Checkpoints written while training still had a sampling mode
+    record "teacher_forcing" in their config snapshot. The commands that
+    read a checkpoint drop it; a config file that names it is refused."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_old_checkpoint_runs_generate_tune_and_eval(
+            self, workdir, trained_ckpt, tmp_path, value):
+        arrays, meta = checkpoint.read_checkpoint(trained_ckpt)
+        old = tmp_path / "old.ckpt"
+        checkpoint.write_checkpoint(old, arrays, dict(
+            meta, config=dict(meta["config"], teacher_forcing=value)))
+        for ckpt, name in ((trained_ckpt, "new.mid"), (old, "old.mid")):
+            rc = cli.main(["generate", "--ckpt", str(ckpt), "--seed", "4",
+                           "--out", str(tmp_path / name)])
+            assert rc == 0
+        assert ((tmp_path / "old.mid").read_bytes()
+                == (tmp_path / "new.mid").read_bytes())
+        tuned = tmp_path / "tuned.ckpt"
+        rc = cli.main(["tune", "--ckpt", str(old), "--out", str(tuned)])
+        assert rc == 0
+        assert "teacher_forcing" not in checkpoint.read_checkpoint(
+            tuned)[1]["config"]
+        for ckpt in (old, tuned):
+            rc = cli.main(["eval", "--ckpt", str(ckpt),
+                           "--out", str(tmp_path / f"{ckpt.stem}.csv")])
+            assert rc == 0
+
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_config_file_naming_it_is_refused(
+            self, workdir, trained_ckpt, tmp_path, capsys, command):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, teacher_forcing=True)))
+        out = tmp_path / "out"
+        source = (["--data", str(workdir / "corpus")] if command == "train"
+                  else ["--ckpt", str(trained_ckpt)])
+        rc = cli.main([command, *source, "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        assert ("unknown configuration key 'teacher_forcing'"
+                in capsys.readouterr().err)
+        assert not out.exists()

@@ -96,10 +96,17 @@ class TestForwardOracle:
         want = reference_logits(params, batch, 60)
         feats = expand_batch(batch, 60)
         tw, _ = model.timewise_pass(feats, params.timewise)
-        got, samples, _ = model.notewise_pass(
+        got, caches, stream = model.notewise_pass(
             tw, params, targets=batch.astype(np.float64))
-        assert samples is None
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # one cache per notewise layer, and the top stream the logits
+        # project, note-major as backward reads it
+        b, n, t, _ = batch.shape
+        assert len(caches) == len(params.notewise)
+        assert stream.shape == (n, b * t, params.notewise[-1].hidden_size)
+        np.testing.assert_array_equal(
+            model._to_note_major(got),
+            stream @ params.proj_w.T + params.proj_b)
 
     def test_timewise_pass_is_note_permutation_equivariant(self):
         rng = np.random.default_rng(8)
@@ -215,15 +222,6 @@ class TestGradients:
         assert set(analytic) == set(numeric)
         assert nn.max_relative_error(analytic, numeric) < 1e-5
 
-    def test_sampled_feedback_gradients_are_finite(self):
-        rng = np.random.default_rng(15)
-        params = small_params(rng, timewise=(4,), notewise=(4,))
-        batch = small_batch(rng, b=1, n=5, t=4)
-        _, _, grads = model.loss_gradients(params, batch, 60, rng=rng,
-                                           teacher_forcing=False)
-        for g in grads.values():
-            assert np.all(np.isfinite(g))
-
     def test_dropout_requires_rng(self):
         params = zero_params((4,), (4,))
         batch = np.zeros((1, 3, 3, 2), dtype=np.uint8)
@@ -236,9 +234,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2))])
     @pytest.mark.parametrize("keep_prob", [1.0, 0.6])
-    @pytest.mark.parametrize("teacher_forcing", [True, False])
     def test_consecutive_calls_match_fresh_arrays(
-            self, sizes, keep_prob, teacher_forcing, monkeypatch):
+            self, sizes, keep_prob, monkeypatch):
         rng = np.random.default_rng(16)
         params = small_params(rng, *sizes)
         forward = nn.stack_forward
@@ -256,10 +253,10 @@ class TestWorkspace:
             batch = small_batch(rng, b=2, n=5, t=6)
             want = model.loss_gradients(
                 params, batch, 60, rng=np.random.default_rng(k),
-                keep_prob=keep_prob, teacher_forcing=teacher_forcing)
+                keep_prob=keep_prob)
             got = model.loss_gradients(
                 params, batch, 60, rng=np.random.default_rng(k),
-                keep_prob=keep_prob, teacher_forcing=teacher_forcing, ws=ws)
+                keep_prob=keep_prob, ws=ws)
             assert got[:2] == want[:2]
             assert set(got[2]) == set(want[2])
             for name, grad in want[2].items():
@@ -471,7 +468,7 @@ class TestGenerate:
         assert len(time_steps) == 5
 
 
-def reference_sample_note_scan(params, xs, rng, keep_masks=None):
+def reference_sample_note_scan(params, xs, rng):
     """The note scan sampled with one nn.stack_step per note, each a
     fresh length-1 stack_forward: the oracle for model._sample_note_scan
     and its preallocated nn.StackStepper."""
@@ -482,8 +479,7 @@ def reference_sample_note_scan(params, xs, rng, keep_masks=None):
     prev = 0.0
     for note in range(n):
         xs[note, :, -2:] = prev
-        top, states = nn.stack_step(params.notewise, xs[note], states,
-                                    keep_masks=keep_masks)
+        top, states = nn.stack_step(params.notewise, xs[note], states)
         logits = top @ params.proj_w.T + params.proj_b
         prev = samples[note] = model.sample_pairs(logits, rng)
     return samples
@@ -495,20 +491,16 @@ class TestSampleNoteScan:
 
     @pytest.mark.parametrize("rows", [1, 3, 48])
     @pytest.mark.parametrize("notewise", [(5,), (5, 3)])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_one_stack_step_per_note(self, rows, notewise, masked):
+    def test_matches_one_stack_step_per_note(self, rows, notewise):
         rng = np.random.default_rng(28)
         params = small_params(rng, timewise=(4,), notewise=notewise)
         xs = np.zeros((9, rows, 6))
         xs[..., :4] = rng.normal(size=(9, rows, 4))
-        masks = ([nn.dropout_mask((rows, hs), 0.7, rng) for hs in notewise]
-                 if masked else None)
         want_xs, got_xs = xs.copy(), xs.copy()
         want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
-        want = reference_sample_note_scan(params, want_xs, want_rng, masks)
+        want = reference_sample_note_scan(params, want_xs, want_rng)
         got = model._sample_note_scan(
-            params, got_xs, got_rng,
-            nn.StackStepper(params.notewise, rows, masks))
+            params, got_xs, got_rng, nn.StackStepper(params.notewise, rows))
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_xs, want_xs)
         assert got_rng.random() == want_rng.random()

@@ -301,39 +301,33 @@ class TestStackStepper:
 
     @pytest.mark.parametrize("rows", [1, 3, 48])
     @pytest.mark.parametrize("hidden", [(5,), (5, 3)])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_steps_equal_stack_step(self, rows, hidden, masked):
+    def test_steps_equal_stack_step(self, rows, hidden):
         rng = np.random.default_rng(25)
         layers, size = [], 6
         for hs in hidden:
             layers.append(random_cell(size, hs, rng))
             size = hs
-        masks = ([nn.dropout_mask((rows, hs), 0.6, rng) for hs in hidden]
-                 if masked else None)
         xs = rng.normal(size=(7, rows, 6))
         states = [(np.zeros((rows, hs)), np.zeros((rows, hs)))
                   for hs in hidden]
-        stepper = nn.StackStepper(layers, rows, masks)
+        stepper = nn.StackStepper(layers, rows)
         for x in xs:
-            want, states = nn.stack_step(layers, x, states, masks)
+            want, states = nn.stack_step(layers, x, states)
             np.testing.assert_array_equal(stepper.step(x), want)
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("hidden", [(5,), (5, 3)])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_reset_equals_a_fresh_stepper(self, rows, hidden, masked):
+    def test_reset_equals_a_fresh_stepper(self, rows, hidden):
         rng = np.random.default_rng(27)
         layers, size = [], 6
         for hs in hidden:
             layers.append(random_cell(size, hs, rng))
             size = hs
-        masks = ([nn.dropout_mask((rows, hs), 0.6, rng) for hs in hidden]
-                 if masked else None)
-        stepper = nn.StackStepper(layers, rows, masks)
+        stepper = nn.StackStepper(layers, rows)
         for x in rng.normal(size=(4, rows, 6)):
             stepper.step(x)
         stepper.reset()
-        fresh = nn.StackStepper(layers, rows, masks)
+        fresh = nn.StackStepper(layers, rows)
         for x in rng.normal(size=(5, rows, 6)):
             np.testing.assert_array_equal(stepper.step(x), fresh.step(x))
 

@@ -324,8 +324,10 @@ class TestConfig:
         # a boolean field takes only a bool: a quoted "false" is truthy
         with pytest.raises(ValueError, match="double_q"):
             RunConfig.from_sources({"double_q": "false"})
-        with pytest.raises(ValueError, match="teacher_forcing"):
-            RunConfig.from_sources({"teacher_forcing": "no"})
+        # a retired field is an unknown key like any other
+        with pytest.raises(ValueError, match="unknown configuration key "
+                                             "'teacher_forcing'"):
+            RunConfig.from_sources({"teacher_forcing": True})
         with pytest.raises(ValueError, match="double_q"):
             RunConfig(double_q=0).validate()
         # hidden sizes are integers as given, never coerced
