@@ -14,6 +14,18 @@ def sample_arrays(rng):
             "empty": np.zeros((0, 4))}
 
 
+def raw_checkpoint(names):
+    """Checkpoint bytes with empty metadata and one zero (1,)-shaped
+    section per raw name, written in the order given."""
+    parts = [checkpoint.MAGIC, (1).to_bytes(4, "little"),
+             (2).to_bytes(4, "little"), b"{}",
+             len(names).to_bytes(4, "little")]
+    for name in names:
+        parts += [len(name).to_bytes(2, "little"), name, bytes([1]),
+                  (1).to_bytes(4, "little"), bytes(8)]
+    return b"".join(parts)
+
+
 class TestRoundTrip:
 
     def test_arrays_and_metadata_survive_exactly(self, tmp_path):
@@ -136,6 +148,24 @@ class TestValidation:
                 + (2**32 - 1).to_bytes(4, "little") * 2 + bytes(64))
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint.parse_checkpoint(data)
+
+    def test_raw_sections_in_order_are_what_the_writer_makes(self):
+        data = raw_checkpoint([b"a", b"b"])
+        assert data == checkpoint.checkpoint_bytes(
+            {"b": np.zeros(1), "a": np.zeros(1)}, {})
+        assert sorted(checkpoint.parse_checkpoint(data)[0]) == ["a", "b"]
+
+    @pytest.mark.parametrize("names", [[b"w", b"w"], [b"b", b"a"],
+                                       [b"a", b"c", b"b"]])
+    def test_repeated_or_unsorted_section_is_reported(self, names):
+        # a repeated name would silently replace the first array, so
+        # rewriting what was read would not give back the file
+        with pytest.raises(CheckpointError, match="not after"):
+            checkpoint.parse_checkpoint(raw_checkpoint(names))
+
+    def test_section_name_that_is_not_utf8_is_reported(self):
+        with pytest.raises(CheckpointError, match="not valid UTF-8"):
+            checkpoint.parse_checkpoint(raw_checkpoint([b"a", b"\xff"]))
 
     def test_error_type_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
