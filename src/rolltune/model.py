@@ -216,25 +216,32 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
 
 
 def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
-                      stepper):
+                      stepper, prev_play: np.ndarray):
     """Run the note scan sequentially, sampling each note's pair and
     feeding it to the next: generate's note axis. xs (N, R, H + 2) holds
     the time scan's output in its first H columns; the last two of xs[n]
-    are filled with the pair sampled at note n-1 (zeros at note 0), so xs
+    are filled with the pair emitted at note n-1 (zeros at note 0), so xs
     ends up the scan's realized input. Each note is one step of stepper,
     an nn.StackStepper over params.notewise with R rows, reset here to
     its zero state, so a caller that scans again keeps its buffers.
-    Returns the samples (N, R, 2)."""
+
+    prev_play (N, R) holds each note's play bit in the column before. A
+    note that sounds out of silence is an onset, so it must articulate:
+    where prev_play is clear the articulation logit is +inf, which every
+    uniform draw falls below, and the pair comes out (1, 1) or (0, 0).
+    Each note still takes two uniforms, and the note above reads the
+    pair as emitted. Returns the samples (N, R, 2)."""
     n, r, _ = xs.shape
     stepper.reset()
     proj_t, proj_b = params.proj_w.T, params.proj_b
+    biases = np.where(prev_play[..., None], proj_b, (proj_b[0], np.inf))
     logits = np.empty((r, 2))
     samples = np.zeros((n, r, 2))
     prev = 0.0
-    for x, sample in zip(xs, samples):
+    for x, sample, bias in zip(xs, samples, biases):
         x[:, -2:] = prev
         np.matmul(stepper.step(x), proj_t, logits)
-        logits += proj_b
+        logits += bias
         prev = sample[...] = sample_pairs(logits, rng)
     return samples
 
@@ -389,8 +396,9 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
     One silent column, sitting just before position 0 so the first
     generated column lands on a measure boundary, opens the time scan.
     Each sampled column is fed back as the next input; every column's
-    note scan steps the same nn.StackStepper. No dropout is active
-    here.
+    note scan steps the same nn.StackStepper and articulates every note
+    that sounds out of silence (see _sample_note_scan). No dropout is
+    active here.
     """
     n = cfg.n_notes
     states = [(np.zeros((n, lay.hidden_size)), np.zeros((n, lay.hidden_size)))
@@ -400,17 +408,12 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
     # the note scan over one step, its feedback pairs filled as sampled
     xs = np.zeros((n, 1, params.timewise[-1].hidden_size + 2))
     stepper = nn.StackStepper(params.notewise, 1)
-    prev_play = np.zeros(n, dtype=bool)
     for j in range(steps):
         feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
                                np.array([j - 1]))[0]
         top, states = nn.stack_step(params.timewise, feats, states)
         xs[:, 0, :-2] = top
-        col = _sample_note_scan(params, xs, rng, stepper)[:, 0].astype(
-            np.uint8)
-        # A note switching on out of silence is an onset by definition,
-        # so its articulation bit must be set.
-        col[:, 1] |= col[:, 0] & ~prev_play
-        prev_play = col[:, 0] > 0
+        col = _sample_note_scan(params, xs, rng, stepper,
+                                col[:, :1] > 0)[:, 0].astype(np.uint8)
         out[:, j] = col
     return NoteStateMatrix(out, cfg.note_low, cfg.steps_per_measure)

@@ -468,10 +468,11 @@ class TestGenerate:
         assert len(time_steps) == 5
 
 
-def reference_sample_note_scan(params, xs, rng):
+def reference_sample_note_scan(params, xs, rng, prev_play):
     """The note scan sampled with one nn.stack_step per note, each a
-    fresh length-1 stack_forward: the oracle for model._sample_note_scan
-    and its preallocated nn.StackStepper."""
+    fresh length-1 stack_forward, a note silent in prev_play articulating
+    whenever it plays: the oracle for model._sample_note_scan and its
+    preallocated nn.StackStepper."""
     n, r, _ = xs.shape
     states = [(np.zeros((r, lay.hidden_size)), np.zeros((r, lay.hidden_size)))
               for lay in params.notewise]
@@ -481,7 +482,10 @@ def reference_sample_note_scan(params, xs, rng):
         xs[note, :, -2:] = prev
         top, states = nn.stack_step(params.notewise, xs[note], states)
         logits = top @ params.proj_w.T + params.proj_b
-        prev = samples[note] = model.sample_pairs(logits, rng)
+        pair = model.sample_pairs(logits, rng)
+        onset = ~prev_play[note]
+        pair[onset, 1] = pair[onset, 0]
+        prev = samples[note] = pair
     return samples
 
 
@@ -496,16 +500,21 @@ class TestSampleNoteScan:
         params = small_params(rng, timewise=(4,), notewise=notewise)
         xs = np.zeros((9, rows, 6))
         xs[..., :4] = rng.normal(size=(9, rows, 4))
+        prev_play = rng.random((9, rows)) < 0.5
         want_xs, got_xs = xs.copy(), xs.copy()
         want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
-        want = reference_sample_note_scan(params, want_xs, want_rng)
+        want = reference_sample_note_scan(params, want_xs, want_rng,
+                                          prev_play)
         got = model._sample_note_scan(
-            params, got_xs, got_rng, nn.StackStepper(params.notewise, rows))
+            params, got_xs, got_rng, nn.StackStepper(params.notewise, rows),
+            prev_play)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_xs, want_xs)
         assert got_rng.random() == want_rng.random()
         # a scan that samples nothing but silence would prove little
         assert 0 < got[..., 0].sum() < got[..., 0].size
+        # every sounding note that was silent before articulates
+        assert np.all(got[..., 1][(got[..., 0] == 1) & ~prev_play] == 1)
 
     def test_desk_generation_matches_the_oracle(self, monkeypatch):
         """32 columns at the desk shape: 36 notes from MIDI 48, one
@@ -519,10 +528,39 @@ class TestSampleNoteScan:
         got = model.generate(params, cfg, 32, got_rng)
         monkeypatch.setattr(
             model, "_sample_note_scan",
-            lambda params, xs, rng, stepper: reference_sample_note_scan(
-                params, xs, rng))
+            lambda params, xs, rng, stepper, prev_play:
+                reference_sample_note_scan(params, xs, rng, prev_play))
         want_rng = np.random.default_rng(6)
         want = model.generate(params, cfg, 32, want_rng)
         np.testing.assert_array_equal(got.data, want.data)
         assert got_rng.random() == want_rng.random()
         assert 0 < got.data[..., 0].sum() < got.data[..., 0].size
+
+    def test_each_note_reads_the_pair_emitted_below(self, monkeypatch):
+        """Every column generate emits is its note scan's samples, each
+        note's feedback input is the emitted pair of the note below
+        (zeros at note 0), and every onset out of silence articulates."""
+        rng = np.random.default_rng(30)
+        params = small_params(rng, timewise=(24,), notewise=(24,))
+        cfg = RunConfig(n_notes=36, note_low=48, timewise_hidden=[24],
+                        notewise_hidden=[24])
+        scan, fed = model._sample_note_scan, []
+
+        def record(params, xs, rng, stepper, prev_play):
+            samples = scan(params, xs, rng, stepper, prev_play)
+            fed.append((xs[:, 0, -2:].copy(), samples[:, 0].copy()))
+            return samples
+
+        monkeypatch.setattr(model, "_sample_note_scan", record)
+        out = model.generate(params, cfg, 32, np.random.default_rng(7)).data
+        assert len(fed) == 32
+        for j, (feedback, samples) in enumerate(fed):
+            np.testing.assert_array_equal(samples, out[:, j])
+            np.testing.assert_array_equal(feedback[0], 0.0)
+            np.testing.assert_array_equal(feedback[1:], out[:-1, j])
+        play = out[..., 0] == 1
+        was_playing = np.zeros_like(play)
+        was_playing[:, 1:] = play[:, :-1]
+        onsets = play & ~was_playing
+        assert onsets.any()
+        assert np.all(out[..., 1][onsets] == 1)
