@@ -14,8 +14,8 @@ Layout, all little-endian:
 Every value is float64, so a section's payload is exactly
 8 * product(shape) bytes. Reading is bitwise faithful, and rewriting
 what was read reproduces the original file byte for byte: reading
-refuses section names that are not valid UTF-8 or do not strictly
-increase, as a repeated name would replace the first array. With
+refuses section names that are empty, not valid UTF-8 or not strictly
+increasing, as a repeated name would replace the first array. With
 sorted sections and canonical JSON the bytes do not depend on dict
 insertion order either. write_atomic, which every artifact the CLI
 writes goes through, replaces a file only once its new bytes are
@@ -89,7 +89,7 @@ def parse_checkpoint(data: bytes):
         raise CheckpointError("corrupt metadata block: expected a JSON "
                               f"object, got {type(metadata).__name__}")
     n_sections, = struct.unpack("<I", take(4, "section count"))
-    arrays, last = {}, None
+    arrays, last = {}, ""
     for _ in range(n_sections):
         name_len, = struct.unpack("<H", take(2, "section name length"))
         raw = bytes(take(name_len, "section name"))
@@ -98,10 +98,9 @@ def parse_checkpoint(data: bytes):
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"section name {raw!r} is not valid "
                                   "UTF-8") from exc
-        # the writer sorts names, so a repeat or a step back is corrupt
-        if last is not None and name <= last:
-            raise CheckpointError(f"section {name!r} is not after "
-                                  f"{last!r}: names must strictly increase")
+        if name <= last:    # the writer sorts names and never repeats one
+            raise CheckpointError(f"section {name!r} is not after {last!r}:"
+                                  " names are non-empty and increase")
         last = name
         ndim, = struct.unpack("<B", take(1, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I",

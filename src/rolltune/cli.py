@@ -96,9 +96,7 @@ def read_model_checkpoint(args, kinds, **flag_overrides):
                          f"this command reads {' or '.join(kinds)}")
     base = meta.get("config")
     base = dict(base) if isinstance(base, dict) else {}
-    # a retired training option older checkpoints record; none of these
-    # commands trains
-    base.pop("teacher_forcing", None)
+    base.pop("teacher_forcing", None)   # retired; older snapshots hold it
     return kind, arrays, resolve_config(args, base, **flag_overrides)
 
 

@@ -233,15 +233,13 @@ class LstmCellParams:
                               self.w.copy(), self.b.copy())
 
 
-def stack_step(layers, x, states, keep_masks=None):
+def stack_step(layers, x, states):
     """Advance a stack one step: stack_forward over a scan of length 1.
 
     x is (rows, D) and states a list of (h, c) pairs, one per layer.
-    Returns the top output (after any dropout mask) and the new state
-    list. Masks apply to the stream passed upward, not to the recurrent
-    path.
+    Returns the top output and the new state list.
     """
-    stream, _, finals = stack_forward(layers, x[None], states, keep_masks)
+    stream, _, finals = stack_forward(layers, x[None], states)
     return stream[0], finals
 
 

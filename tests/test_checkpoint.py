@@ -156,10 +156,11 @@ class TestValidation:
         assert sorted(checkpoint.parse_checkpoint(data)[0]) == ["a", "b"]
 
     @pytest.mark.parametrize("names", [[b"w", b"w"], [b"b", b"a"],
-                                       [b"a", b"c", b"b"]])
-    def test_repeated_or_unsorted_section_is_reported(self, names):
+                                       [b"a", b"c", b"b"], [b""]])
+    def test_repeated_unsorted_or_empty_section_is_reported(self, names):
         # a repeated name would silently replace the first array, so
-        # rewriting what was read would not give back the file
+        # rewriting what was read would not give back the file, and the
+        # writer refuses an empty name
         with pytest.raises(CheckpointError, match="not after"):
             checkpoint.parse_checkpoint(raw_checkpoint(names))
 
