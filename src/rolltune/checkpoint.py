@@ -100,7 +100,7 @@ def parse_checkpoint(data: bytes):
                                   "UTF-8") from exc
         if name <= last:    # the writer sorts names and never repeats one
             raise CheckpointError(f"section {name!r} is not after {last!r}:"
-                                  " names are non-empty and increase")
+                                  " names must be non-empty and increasing")
         last = name
         ndim, = struct.unpack("<B", take(1, f"ndim of {name!r}"))
         shape = struct.unpack(f"<{ndim}I",

@@ -448,16 +448,13 @@ class TestRetiredConfigKey:
                            "--out", str(tmp_path / f"{ckpt.stem}.csv")])
             assert rc == 0
 
-    @pytest.mark.parametrize("command", ["train", "generate"])
-    def test_config_file_naming_it_is_refused(
-            self, workdir, trained_ckpt, tmp_path, capsys, command):
+    def test_config_file_naming_it_is_refused(self, trained_ckpt, tmp_path,
+                                              capsys):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps(dict(TINY_CONFIG, teacher_forcing=True)))
-        out = tmp_path / "out"
-        source = (["--data", str(workdir / "corpus")] if command == "train"
-                  else ["--ckpt", str(trained_ckpt)])
-        rc = cli.main([command, *source, "--config", str(cfg),
-                       "--out", str(out)])
+        out = tmp_path / "out.mid"
+        rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
+                       "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         assert ("unknown configuration key 'teacher_forcing'"
                 in capsys.readouterr().err)
