@@ -15,7 +15,8 @@ Every value is float64, so a section's payload is exactly
 8 * product(shape) bytes. Reading is bitwise faithful, and rewriting
 what was read reproduces the original file byte for byte: reading
 refuses section names that are empty, not valid UTF-8 or not strictly
-increasing, as a repeated name would replace the first array. With
+increasing, as a repeated name would replace the first array, and
+metadata that is not canonical JSON (spaces, unsorted keys). With
 sorted sections and canonical JSON the bytes do not depend on dict
 insertion order either. write_atomic, which every artifact the CLI
 writes goes through, replaces a file only once its new bytes are
@@ -37,10 +38,15 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed: bad magic, version, or shape."""
 
 
+def _metadata_bytes(metadata: dict) -> bytes:
+    """Canonical JSON: sorted keys, compact separators, ASCII."""
+    return json.dumps(metadata, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
+
+
 def checkpoint_bytes(arrays: dict, metadata: dict | None = None) -> bytes:
     """Serialize named float64 arrays plus a JSON metadata block."""
-    meta_blob = json.dumps(metadata or {}, sort_keys=True,
-                           separators=(",", ":")).encode("ascii")
+    meta_blob = _metadata_bytes(metadata or {})
     parts = [MAGIC, struct.pack("<I", VERSION),
              struct.pack("<I", len(meta_blob)), meta_blob,
              struct.pack("<I", len(arrays))]
@@ -81,13 +87,17 @@ def parse_checkpoint(data: bytes):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     meta_len, = struct.unpack("<I", take(4, "metadata length"))
+    meta_blob = bytes(take(meta_len, "metadata"))
     try:
-        metadata = json.loads(bytes(take(meta_len, "metadata")))
+        metadata = json.loads(meta_blob)
     except ValueError as exc:
         raise CheckpointError(f"corrupt metadata block: {exc}") from exc
     if not isinstance(metadata, dict):
         raise CheckpointError("corrupt metadata block: expected a JSON "
                               f"object, got {type(metadata).__name__}")
+    if _metadata_bytes(metadata) != meta_blob:
+        raise CheckpointError("metadata block is not canonical JSON (sorted"
+                              " unique keys, compact separators, ASCII)")
     n_sections, = struct.unpack("<I", take(4, "section count"))
     arrays, last = {}, ""
     for _ in range(n_sections):

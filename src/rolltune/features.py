@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nn import buffer
+from .nn import Workspace
 
 FEATURE_WIDTH = 80
 VICINITY_RADIUS = 12
@@ -52,13 +52,14 @@ def expand_columns(columns: np.ndarray, note_low: int,
     columns has shape (R, N, 2) and positions (R,), giving each column's
     absolute step index (negative values wrap, so a column seeded one
     step before a piece starts sits at the last beat of a measure).
-    Returns (R, N, FEATURE_WIDTH) float64, the array of the nn.Workspace
-    ws when one is given.
+    Returns (R, N, FEATURE_WIDTH) float64, an array of the nn.Workspace
+    ws.
     """
+    ws = Workspace() if ws is None else ws
     columns = np.asarray(columns, dtype=np.float64)
     r, n, _ = columns.shape
     midi_scaled, pitch_class, beat_bits = _constants(note_low, n)
-    out = buffer(ws, "features", (r, n, FEATURE_WIDTH))
+    out = ws.empty("features", (r, n, FEATURE_WIDTH))
     out[:, :, FEATURE_WIDTH - 1] = 0.0
     out[:, :, 0] = midi_scaled
     out[:, :, 1:13] = pitch_class

@@ -128,13 +128,14 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
     array, where notewise_pass on the same workspace finds it; the
     returned (B, N, T, H_top) array is that view.
     """
+    ws = nn.Workspace() if ws is None else ws
     b, n, t, f = feats.shape
     xs = np.ascontiguousarray(
         feats.transpose(2, 0, 1, 3)).reshape(t, b * n, f)
     top_mask = None if keep_masks is None else keep_masks[-1]
     below = None if keep_masks is None else [*keep_masks[:-1], None]
     stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=below,
-                                         ws=nn.scope(ws, "timewise"))
+                                         ws=ws.scope("timewise"))
     # masked here rather than by the scan, so the cache still carries
     # the mask stack_backward applies to the top gradient
     caches[-1].mask = top_mask
@@ -152,7 +153,7 @@ def _note_inputs(ws, b, n, t, hidden):
     """The note scan's input (N, B*T, H+2), each note's time output
     followed by its feedback pair, and the same memory by song as
     (B, N, T, H+2)."""
-    xs = nn.buffer(ws, "note_inputs", (n, b * t, hidden + 2))
+    xs = ws.empty("note_inputs", (n, b * t, hidden + 2))
     return xs, xs.reshape(n, b, t, hidden + 2).transpose(1, 0, 2, 3)
 
 
@@ -203,6 +204,7 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     timewise_pass output on the same workspace already sits there and is
     not copied.
     """
+    ws = nn.Workspace() if ws is None else ws
     b, n, t, hidden = timewise_out.shape
     xs, by_song = _note_inputs(ws, b, n, t, hidden)
     # numpy returns at once when assigning a view to itself
@@ -210,7 +212,7 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     by_song[..., hidden:] = teacher_feedback(targets)
     stream, caches, _ = nn.stack_forward(params.notewise, xs,
                                          keep_masks=keep_masks,
-                                         ws=nn.scope(ws, "notewise"))
+                                         ws=ws.scope("notewise"))
     logits = stream @ params.proj_w.T + params.proj_b
     return _from_note_major(logits, b), caches, stream
 
@@ -280,9 +282,10 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
 
     Returns (loss value, log-likelihood per step, grads dict keyed like
     param_arrays). Dropout masks, when active, are drawn once here and
-    shared by forward and backward. With an nn.Workspace ws, the passes
-    keep their arrays there; the gradients are fresh arrays either way.
+    shared by forward and backward. The passes keep their arrays in the
+    nn.Workspace ws; the gradients are fresh arrays.
     """
+    ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = batch.shape
     masks_t = masks_n = None
     if keep_prob < 1.0:
@@ -307,25 +310,25 @@ def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
              dlogits: np.ndarray, ws=None) -> dict:
     """Gradients keyed like param_arrays, given d(logits) (B, N, T, 2)
     and the caches of a timewise and a notewise pass. The time scan's
-    input is the fixed features, so its gradient is skipped. With the
-    nn.Workspace the passes ran on, the caches are spent (see
-    nn.stack_backward), the note scan's input included, and the
-    gradients are fresh arrays."""
+    input is the fixed features, so its gradient is skipped. The caches
+    are spent (see nn.stack_backward), the note scan's input included,
+    and the gradients are fresh arrays."""
+    ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)
     grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
              "proj/b": dlogits.sum(axis=(0, 1))}
-    d_top = np.matmul(dlogits, params.proj_w, out=nn.buffer(
-        ws, "d_note_top", (n, b * t, params.notewise[-1].hidden_size)))
+    d_top = np.matmul(dlogits, params.proj_w, out=ws.empty(
+        "d_note_top", (n, b * t, params.notewise[-1].hidden_size)))
     grads_note, dxs = nn.stack_backward(params.notewise, caches_n, d_top,
-                                        ws=nn.scope(ws, "notewise"))
+                                        ws=ws.scope("notewise"))
     hidden_top = params.timewise[-1].hidden_size
-    d_tw = nn.buffer(ws, "d_time_top", (t, b * n, hidden_top))
+    d_tw = ws.empty("d_time_top", (t, b * n, hidden_top))
     d_tw.reshape(t, b, n, hidden_top)[...] = dxs[:, :, :hidden_top].reshape(
         n, b, t, hidden_top).transpose(2, 1, 0, 3)
     grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,
                                      input_grad=False,
-                                     ws=nn.scope(ws, "timewise"))
+                                     ws=ws.scope("timewise"))
     for stack_name, stack_grads in (("timewise", grads_time),
                                     ("notewise", grads_note)):
         for i, layer_grads in enumerate(stack_grads):
@@ -398,20 +401,19 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
     Each sampled column is fed back as the next input; every column's
     note scan steps the same nn.StackStepper and articulates every note
     that sounds out of silence (see _sample_note_scan). No dropout is
-    active here.
+    active here. The time axis steps on one nn.Workspace per call.
     """
     n = cfg.n_notes
-    states = [(np.zeros((n, lay.hidden_size)), np.zeros((n, lay.hidden_size)))
-              for lay in params.timewise]
+    ws, states = nn.Workspace(), None
     col = np.zeros((n, 2), dtype=np.uint8)
     out = np.zeros((n, steps, 2), dtype=np.uint8)
     # the note scan over one step, its feedback pairs filled as sampled
     xs = np.zeros((n, 1, params.timewise[-1].hidden_size + 2))
     stepper = nn.StackStepper(params.notewise, 1)
     for j in range(steps):
-        feats = expand_columns(col[None].astype(np.float64), cfg.note_low,
-                               np.array([j - 1]))[0]
-        top, states = nn.stack_step(params.timewise, feats, states)
+        feats = expand_columns(col[None], cfg.note_low, np.array([j - 1]),
+                               ws)[0]
+        top, states = nn.stack_step(params.timewise, feats, states, ws)
         xs[:, 0, :-2] = top
         col = _sample_note_scan(params, xs, rng, stepper,
                                 col[:, :1] > 0)[:, 0].astype(np.uint8)

@@ -34,15 +34,14 @@ Conventions:
     its gate-major pre-activations, the i/f/o and g slabs, its c and h
     slots and the scratch slices), built once and rebuilt only when one
     of the arrays they view is replaced, because at a few rows building
-    them costs as much as the step's arithmetic. A function
-    given ws=... writes its scans, scratch and caches into the
-    workspace, and every such array is valid until the next pass on
-    the same workspace. A backward pass on a workspace spends what it
-    reads: it writes the gate gradients over the cached gates, masks
-    the incoming gradient in place and writes the scan input's gradient
-    over the scan input. With ws=None (the default) every array is
-    fresh and nothing passed in is written. Gradient blocks are fresh
-    either way.
+    them costs as much as the step's arithmetic. Every pass runs on a
+    workspace: a function given ws=... writes its scans, scratch and
+    caches into it, and every such array is valid until the next pass
+    on the same workspace; ws=None means a workspace of the call's own.
+    A backward pass spends what it reads: it writes the gate gradients
+    over the cached gates, masks the incoming gradient in place and
+    writes the scan input's gradient over the scan input. Gradient
+    blocks are always fresh arrays.
 """
 
 from __future__ import annotations
@@ -91,15 +90,15 @@ class Workspace:
     """Float64 arrays kept by key, for a run of identically shaped
     passes: each pass writes its arrays over the previous pass's instead
     of allocating them again. Keys are chosen by the functions that take
-    a ws argument; scope(name) gives a child workspace, so two stacks
-    scanned with the same code keep apart.
+    a ws argument, and such a function given ws=None makes a workspace
+    of its own for the call; scope(name) gives a child workspace, so two
+    stacks scanned with the same code keep apart.
 
     An array a pass returns or caches from its workspace is valid until
-    the next pass on the same workspace, and a backward pass on it
-    spends the caches, the scan input and the incoming gradient it is
-    given (see stack_backward). Whatever must outlive a pass (gradient
-    blocks, returned values, states kept for later) is always a fresh
-    array.
+    the next pass on the same workspace, and a backward pass spends the
+    caches, the scan input and the incoming gradient it is given (see
+    stack_backward). Gradient blocks are always fresh arrays; a caller
+    that keeps anything else past the next pass copies it.
 
     views(key, build, *arrays) keeps what build(*arrays) returns, views
     of those arrays, and returns it again while every one of them is
@@ -140,23 +139,6 @@ class Workspace:
         yield from self._arrays.values()
         for child in self._scopes.values():
             yield from child.arrays()
-
-
-def buffer(ws, key, shape) -> np.ndarray:
-    """An uninitialized float64 array: ws's array under key, or a fresh
-    one when ws is None."""
-    return np.empty(shape) if ws is None else ws.empty(key, shape)
-
-
-def views(ws, key, build, *arrays):
-    """build(*arrays), kept in ws under key (see Workspace.views), or
-    built afresh when ws is None."""
-    return build(*arrays) if ws is None else ws.views(key, build, *arrays)
-
-
-def scope(ws, name):
-    """ws's child workspace under name, or None when ws is None."""
-    return None if ws is None else ws.scope(name)
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -233,13 +215,16 @@ class LstmCellParams:
                               self.w.copy(), self.b.copy())
 
 
-def stack_step(layers, x, states):
+def stack_step(layers, x, states, ws=None):
     """Advance a stack one step: stack_forward over a scan of length 1.
 
-    x is (rows, D) and states a list of (h, c) pairs, one per layer.
-    Returns the top output and the new state list.
+    x is (rows, D) and states a list of (h, c) pairs, one per layer, or
+    None for the zero state. Returns the top output and the new state
+    list, views into ws. The states may be the previous step's on the
+    same ws: each layer copies its state into the scan's first slot
+    before it steps.
     """
-    stream, _, finals = stack_forward(layers, x[None], states)
+    stream, _, finals = stack_forward(layers, x[None], states, ws=ws)
     return stream[0], finals
 
 
@@ -248,12 +233,9 @@ class _LayerCache:
     inputs: np.ndarray      # (S, R, D) stream entering the layer
     gates: np.ndarray       # (S, R, 4H) memory; step s holds its activated
                             # gates gate-major, read as (4, R, H): i, f, o, g
-    c: np.ndarray           # (S + 1, R, H): step s writes c[s + 1];
-    h: np.ndarray           # stack_backward copies c0 and h0 into slot
-                            # 0, so c[s] and h[s] are step s's c_prev
-                            # and h_prev (the forward pass skips that copy)
-    h0: np.ndarray          # (R, H) state before the first step
-    c0: np.ndarray
+    c: np.ndarray           # (S + 1, R, H): slot 0 holds the initial
+    h: np.ndarray           # state and step s writes c[s + 1], so c[s]
+                            # and h[s] are step s's c_prev and h_prev
     mask: np.ndarray | None
 
 
@@ -261,54 +243,57 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     """Run a stack over a whole scan.
 
     xs has shape (S, R, D): S steps of R parallel rows. init_states, a
-    list of (h, c) pairs of shape (R, H), is read and never written.
+    list of (h, c) pairs of shape (R, H), is copied into the first slot
+    of each layer's cached h and c (zeros without it) and never written.
     Returns the top stream (S, R, H_top), a cache for stack_backward,
     and the final (h, c) list, which are views of the cache's last step.
-    With a Workspace ws, every array of the scan is ws's, and so are the
-    per-step views of them (see Workspace).
+    Every array of the scan is ws's, and so are the per-step views of
+    them (see Workspace).
 
     Inputs are projected in one matrix product per layer into a
     row-major (S, R, 4H) gates buffer. Each step adds the recurrent
     product h_prev @ wh.T to its (R, 4H) block and copies the result
     into a (4, R, H) gate-major scratch; the product itself is formed
-    in that scratch's memory, which the copy then overwrites. One sigmoid call activates i, f
-    and o and one tanh the candidate g, writing into the step's own
-    block read as (4, R, H), which is what the cache keeps. Then
-    c = f * c_prev + i * g and h = o * tanh(c) are written straight
-    into the cached c and h, after a slot left for the initial state.
-    That elementwise part is _cell_update, which StackStepper shares.
+    in that scratch's memory, which the copy then overwrites. One
+    sigmoid call activates i, f and o and one tanh the candidate g,
+    writing into the step's own block read as (4, R, H), which is what
+    the cache keeps. Then c = f * c_prev + i * g and h = o * tanh(c)
+    are written straight into the cached c and h, after the initial
+    state's slot. That elementwise part is _cell_update, which
+    StackStepper shares.
     """
+    ws = Workspace() if ws is None else ws
     s_len, rows, _ = xs.shape
     caches, finals = [], []
     stream = xs
     for li, layer in enumerate(layers):
         hs = layer.hidden_size
         wx, wh, b = layer.packed()
-        if init_states is None:
-            h = c = np.zeros((rows, hs))
-        else:
-            h, c = init_states[li]
-        h0, c0 = h, c
-        gates = buffer(ws, ("gates", li), (s_len, rows, 4 * hs))
+        gates = ws.empty(("gates", li), (s_len, rows, 4 * hs))
         np.matmul(stream.reshape(s_len * rows, -1), wx.T,
                   out=gates.reshape(s_len * rows, 4 * hs))
         gates += b
-        c_all = buffer(ws, ("c", li), (s_len + 1, rows, hs))
-        h_all = buffer(ws, ("h", li), (s_len + 1, rows, hs))
-        z = buffer(ws, ("z", hs), (4, rows, hs))
+        c_all = ws.empty(("c", li), (s_len + 1, rows, hs))
+        h_all = ws.empty(("h", li), (s_len + 1, rows, hs))
+        if init_states is None:
+            h_all[0] = c_all[0] = 0.0
+        else:
+            h_all[0], c_all[0] = init_states[li]
+        h, c = h_all[0], c_all[0]
+        z = ws.empty(("z", hs), (4, rows, hs))
         rec = z.reshape(rows, 4 * hs)
         wh_t = _recurrent_operand(wh, rows)
-        for gate_s, cell in views(ws, ("steps", li), _scan_views,
-                                  gates, c_all, h_all, z):
+        for gate_s, cell in ws.views(("steps", li), _scan_views,
+                                     gates, c_all, h_all, z):
             gate_s += np.matmul(h, wh_t, rec)
             c, h = _cell_update(cell, c)
         mask = None if keep_masks is None else keep_masks[li]
-        caches.append(_LayerCache(stream, gates, c_all, h_all, h0, c0, mask))
+        caches.append(_LayerCache(stream, gates, c_all, h_all, mask))
         finals.append((h, c))
         stream = h_all[1:]
         if mask is not None:
-            stream = np.multiply(stream, mask, out=buffer(
-                ws, ("masked", li), stream.shape))
+            stream = np.multiply(stream, mask,
+                                 out=ws.empty(("masked", li), stream.shape))
     return stream, caches, finals
 
 
@@ -424,25 +409,23 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     GATE_FIELDS and holds row-block views of one packed gradient block,
     which is always a fresh array.
 
-    With a Workspace ws the pass spends its operands: each step's gate
-    gradient is written over the cached gates it has just consumed,
-    each dropout mask is applied to the incoming gradient in place, so
-    dstream is spent, and once layer 0's weight gradient has read the
-    scan input xs, dxs is written over xs, so xs is spent too. An upper
-    layer's input gradient and the scratch are ws's arrays: that input
-    may be the h of the layer below, which its backward still reads as
-    h_prev.
+    The pass spends its operands: each step's gate gradient is written
+    over the cached gates it has just consumed, each dropout mask is
+    applied to the incoming gradient in place, so dstream is spent, and
+    once layer 0's weight gradient has read the scan input xs, dxs is
+    written over xs, so xs is spent too. An upper layer's input gradient
+    and the scratch are ws's arrays: that input may be the h of the
+    layer below, which its backward still reads as h_prev.
     """
+    ws = Workspace() if ws is None else ws
     grads_out = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
         layer, cache = layers[li], caches[li]
         hs, d = layer.hidden_size, layer.input_size
         wx, wh, _ = layer.packed()
         s_len, rows, _ = cache.gates.shape
-        cache.h[0], cache.c[0] = cache.h0, cache.c0
         if cache.mask is not None:
-            dstream = (np.multiply(dstream, cache.mask) if ws is None
-                       else np.multiply(dstream, cache.mask, out=dstream))
+            np.multiply(dstream, cache.mask, out=dstream)
         flat_dz = _gate_gradients(cache, wh, dstream, ws).reshape(
             s_len * rows, 4 * hs)
         dw = np.empty_like(layer.w)
@@ -451,37 +434,34 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
         if li == 0 and not input_grad:
             return grads_out, None
-        out = (cache.inputs.reshape(s_len * rows, d)
-               if li == 0 and ws is not None
-               else buffer(ws, ("dinput", li), (s_len * rows, d)))
+        out = (cache.inputs.reshape(s_len * rows, d) if li == 0
+               else ws.empty(("dinput", li), (s_len * rows, d)))
         dstream = np.matmul(flat_dz, wx, out=out).reshape(s_len, rows, d)
     return grads_out, dstream
 
 
-def _gate_gradients(cache, wh, dstream, ws=None):
+def _gate_gradients(cache, wh, dstream, ws):
     """Gradient (S, R, 4H) w.r.t. one layer's pre-activations, row-major
     like the gates stack_forward projected, given the gradient w.r.t.
-    the layer's output stream (S, R, H). With a Workspace it is written
-    over cache.gates, step by step once that step's gates are read.
+    the layer's output stream (S, R, H). It is written over cache.gates,
+    step by step once that step's gates are read.
 
     Each step reads the cached gates as contiguous (4, R, H) slabs and
-    builds its gradient gate-major in a (4, R, H) scratch (with a
-    workspace, the forward scan's), then copies it row-major into place.
-    Every product is formed in place in scratch allocated once per
-    call, and equals the plain expression in the comment above it bit
-    for bit (float products and sums do not depend on operand order,
+    builds its gradient gate-major in ws's (4, R, H) scratch, then
+    copies it row-major into place. Every product is formed in place in
+    ws's scratch, and equals the plain expression in the comment above
+    it bit for bit (float products and sums do not depend on operand order,
     and adding the scalar 0.0 carry of the last step equals adding a
     zero array).
     """
-    s_len, rows, four_h = cache.gates.shape
+    dz_all = cache.gates
+    s_len, rows, four_h = dz_all.shape
     hs = four_h // 4
-    acts = cache.gates.reshape(s_len, 4, rows, hs)
-    dz_all = (cache.gates if ws is not None
-              else np.empty((s_len, rows, four_h)))
+    acts = dz_all.reshape(s_len, 4, rows, hs)
     dz_rows = dz_all.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
-    dz = buffer(ws, ("z", hs), (4, rows, hs))
-    d_sig = buffer(ws, ("d_sig", hs), (3, rows, hs))
-    dh, tc, dc, dc_next, dh_next = buffer(ws, ("dstep", hs), (5, rows, hs))
+    dz = ws.empty(("z", hs), (4, rows, hs))
+    d_sig = ws.empty(("d_sig", hs), (3, rows, hs))
+    dh, tc, dc, dc_next, dh_next = ws.empty(("dstep", hs), (5, rows, hs))
     dh_carry = dc_carry = 0.0
     # step s, newest first, with c[s + 1] (its c) and c[s] (its c_prev)
     steps = zip(range(s_len - 1, -1, -1), acts[::-1], dstream[::-1],
@@ -508,7 +488,7 @@ def _gate_gradients(cache, wh, dstream, ws=None):
         np.multiply(np.multiply(dc, i, d_sig[0]), d_g, dz[3])
         if s:   # step 0 passes nothing further back
             dc_carry = np.multiply(dc, f, dc_next)
-        dz_row[...] = dz    # overwrites this step's gates in a workspace
+        dz_row[...] = dz    # overwrites this step's gates
         if s:
             dh_carry = np.matmul(dz_s, wh, dh_next)
     return dz_all

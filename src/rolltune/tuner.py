@@ -101,13 +101,14 @@ class TrunkSnapshot:
     @classmethod
     def stack(cls, snapshots: list, ws=None) -> "TrunkSnapshot":
         """One batch holding the states of several snapshots, in order.
-        With an nn.Workspace ws, the stacked cells are ws's arrays."""
+        The stacked cells are arrays of the nn.Workspace ws."""
         if len(snapshots) == 1:
             return snapshots[0]
+        ws = nn.Workspace() if ws is None else ws
         rows = sum(len(s.cells[0][0]) for s in snapshots)
         cells = [tuple(np.concatenate(
             [s.cells[li][j] for s in snapshots],
-            out=nn.buffer(ws, ("cells", li, j), (rows, cell.shape[1])))
+            out=ws.empty(("cells", li, j), (rows, cell.shape[1])))
             for j, cell in enumerate(pair))
             for li, pair in enumerate(snapshots[0].cells)]
         return cls(cells, np.concatenate([s.col for s in snapshots]),
@@ -187,16 +188,17 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
 
     Returns (scores (B, 38), advanced cells per layer as (B*N, hidden)
     arrays, cache for trunk_scores_backward). The stored cells are
-    inputs here, never differentiated through. With an nn.Workspace ws
-    the passes keep their arrays there, the advanced cells included;
-    the scores are fresh.
+    inputs here, never differentiated through. The passes keep their
+    arrays in the nn.Workspace ws, the advanced cells included; the
+    scores are fresh.
     """
+    ws = nn.Workspace() if ws is None else ws
     b, n = snapshot.col.shape[:2]
     rows = melody_rows(note_low, n)
     feats = expand_columns(snapshot.col, note_low, snapshot.pos, ws)
     stream, t_caches, finals = nn.stack_forward(
         trunk.timewise, feats.reshape(1, b * n, -1),
-        init_states=snapshot.cells, ws=nn.scope(ws, "timewise"))
+        init_states=snapshot.cells, ws=ws.scope("timewise"))
     logits, n_caches, stream_n = notewise_pass(
         stream[0].reshape(b, n, 1, -1), trunk, np.zeros((b, n, 1, 2)),
         ws=ws)
@@ -253,8 +255,8 @@ class RewardModel:
     def log_dist(self, snapshot: TrunkSnapshot, ws=None):
         """(B, 38) normalized log-probabilities over the actions, plus
         the advanced trunk cells for chaining the next snapshot. The
-        log-probabilities are fresh; with an nn.Workspace ws the cells
-        are ws's arrays."""
+        log-probabilities are fresh; the cells are arrays of the
+        nn.Workspace ws."""
         scores, finals, _ = trunk_scores(self.trunk, self.note_low, snapshot,
                                          ws)
         return scores - nn.logsumexp(scores, axis=1)[:, None], finals
@@ -294,7 +296,7 @@ class MelodyQNetwork:
     def q_batch(self, snapshots: list, ws=None):
         """(B, 38) Q-values for the states of a list of snapshots, in
         order, and the cache backward() consumes. The Q-values are fresh
-        arrays; the cache lives in the nn.Workspace ws when one is given."""
+        arrays; the cache lives in the nn.Workspace ws."""
         scores, finals, inner = trunk_scores(
             self.trunk, self.note_low, TrunkSnapshot.stack(snapshots, ws), ws)
         q = scores @ self.head_w.T + self.head_b
@@ -302,8 +304,8 @@ class MelodyQNetwork:
 
     def act(self, snapshot: TrunkSnapshot, ws=None):
         """(B, 38) Q-values for a snapshot plus the advanced cells. The
-        Q-values are fresh; with an nn.Workspace ws the cells are ws's
-        arrays."""
+        Q-values are fresh; the cells are arrays of the nn.Workspace
+        ws."""
         q, (_, _, finals) = self.q_batch([snapshot], ws)
         return q, finals
 
@@ -353,7 +355,7 @@ def q_targets(transitions: list, target_model, gamma: float,
               ws=None) -> np.ndarray:
     """Bellman targets r + gamma * max Q(s', .; theta_minus), with the
     bootstrap dropped on terminal transitions. Both networks' passes run
-    on the workspace ws when one is given."""
+    on the nn.Workspace ws."""
     next_states = [t.next_state for t in transitions]
     q_next, _ = target_model.q_batch(next_states, ws=ws)
     if double_q:
@@ -370,8 +372,8 @@ def q_targets(transitions: list, target_model, gamma: float,
 def q_loss_gradients(transitions: list, model, targets: np.ndarray,
                      ws=None):
     """Mean squared Bellman residual and its gradients w.r.t. model
-    parameters; the targets are constants here. The gradients are fresh
-    arrays, also when the pass runs on a workspace ws."""
+    parameters; the targets are constants here. The pass runs on the
+    nn.Workspace ws and the gradients are fresh arrays."""
     states = [t.state for t in transitions]
     actions = np.array([t.action for t in transitions])
     q, cache = model.q_batch(states, ws=ws)
@@ -393,7 +395,7 @@ def q_update(transitions: list, model, target_model, gamma: float,
              optimizer, double_q: bool = False, ws=None) -> float:
     """One gradient step on the online model; the target model only
     supplies bootstrap values and is never modified. Every network pass
-    of the update runs on the nn.Workspace ws when one is given."""
+    of the update runs on the nn.Workspace ws."""
     if not transitions:
         raise ValueError("q_update needs a non-empty batch")
     targets = q_targets(transitions, target_model, gamma,

@@ -1,5 +1,7 @@
 """Tests for the binary checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ def sample_arrays(rng):
             "empty": np.zeros((0, 4))}
 
 
-def raw_checkpoint(names):
-    """Checkpoint bytes with empty metadata and one zero (1,)-shaped
-    section per raw name, written in the order given."""
+def raw_checkpoint(names, metadata=b"{}"):
+    """Checkpoint bytes with the raw metadata block given (empty by
+    default) and one zero (1,)-shaped section per raw name, written in
+    the order given."""
     parts = [checkpoint.MAGIC, (1).to_bytes(4, "little"),
-             (2).to_bytes(4, "little"), b"{}",
+             len(metadata).to_bytes(4, "little"), metadata,
              len(names).to_bytes(4, "little")]
     for name in names:
         parts += [len(name).to_bytes(2, "little"), name, bytes([1]),
@@ -138,6 +141,18 @@ class TestValidation:
         with pytest.raises(CheckpointError,
                            match="metadata block: expected a JSON object"):
             checkpoint.read_checkpoint(path)
+
+    @pytest.mark.parametrize("metadata", [
+        b'{"a": 1}', b'{"a":1,"a":2}', b'{"b":1,"a":2}'])
+    def test_metadata_that_is_not_canonical_is_reported(self, metadata):
+        # json accepts each block, but rewriting what it parses to gives
+        # other bytes: {"a":1} one byte shorter, {"a":2} alone
+        assert isinstance(json.loads(metadata), dict)
+        assert checkpoint.checkpoint_bytes(
+            {"w": np.zeros(1)}, json.loads(metadata)) != raw_checkpoint(
+                [b"w"], metadata)
+        with pytest.raises(CheckpointError, match="not canonical"):
+            checkpoint.parse_checkpoint(raw_checkpoint([b"w"], metadata))
 
     def test_overflowing_element_count_is_reported(self):
         # 2**64 - 2**33 + 1 values wrap a 64-bit element count negative

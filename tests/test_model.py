@@ -230,7 +230,8 @@ class TestGradients:
 
 
 class TestWorkspace:
-    """loss_gradients on one nn.Workspace against fresh arrays."""
+    """loss_gradients on one nn.Workspace against a fresh workspace per
+    call."""
 
     @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2))])
     @pytest.mark.parametrize("keep_prob", [1.0, 0.6])
@@ -243,7 +244,8 @@ class TestWorkspace:
 
         def record(*args, **kwargs):
             out = forward(*args, **kwargs)
-            if kwargs.get("ws") is not None:
+            if any(kwargs["ws"] is ws.scope(name)
+                   for name in ("timewise", "notewise")):
                 caches.append(out[1])
             return out
 

@@ -770,7 +770,8 @@ class TestTune:
 
     def test_shared_read_workspace_matches_fresh_reads(self, monkeypatch):
         """act and log_dist share one workspace in tune; the trace and
-        the tuned weights equal a run whose reads use fresh arrays."""
+        the tuned weights equal a run that reads on a fresh workspace
+        each time."""
         primed = primed_params(np.random.default_rng(0))
         cfg = make_rl_config(rl_iterations=20, rl_batch_size=4)
         qnet_a, trace_a = tuner.tune(primed, cfg, np.random.default_rng(9))
@@ -963,7 +964,7 @@ class TestRollouts:
     def test_a_workspace_across_batches_matches_fresh_reads(self, player):
         """65 songs: the play's workspace reallocates when the batch
         goes from 64 songs to 1, and every step's scores equal the same
-        play read with ws=None, to the bit."""
+        play read on a fresh workspace each step, to the bit."""
         rng = np.random.default_rng(0)
         primed = primed_params(rng, timewise=(3,), notewise=(3,))
         cfg = make_rl_config(timewise_hidden=[3], notewise_hidden=[3],
