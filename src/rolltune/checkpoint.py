@@ -3,22 +3,26 @@
 Layout, all little-endian:
 
   magic     4 bytes, b"B2B1"
-  version   uint32 (currently 1)
+  version   uint32 (2; version 1 files, which end after the sections,
+            still read)
   metadata  uint32 byte length, then canonical JSON (sorted keys,
             compact separators, ASCII)
   sections  uint32 count, then per section, sorted by name:
               uint16 name length + UTF-8 name
               uint8 ndim + one uint32 per extent
               row-major float64 values
+  crc       uint32 zlib.crc32 of every byte before it (version 2)
 
 Every value is float64, so a section's payload is exactly
-8 * product(shape) bytes. Reading is bitwise faithful, and rewriting
-what was read reproduces the original file byte for byte: reading
-refuses section names that are empty, not valid UTF-8 or not strictly
-increasing, as a repeated name would replace the first array, and
-metadata that is not canonical JSON (spaces, unsorted keys). With
-sorted sections and canonical JSON the bytes do not depend on dict
-insertion order either. write_atomic, which every artifact the CLI
+8 * product(shape) bytes. Reading is bitwise faithful, and a changed
+byte anywhere in a version 2 file fails its checksum, if nothing else
+catches it first. Rewriting what was read from a version 2 file
+reproduces it byte for byte: reading refuses section names that are
+empty, not valid UTF-8 or not strictly increasing, as a repeated name
+would replace the first array, and metadata that is not canonical JSON
+(spaces, unsorted keys). With sorted sections and canonical JSON the
+bytes do not depend on dict insertion order either. A version 1 file
+rewrites as version 2. write_atomic, which every artifact the CLI
 writes goes through, replaces a file only once its new bytes are
 complete.
 """
@@ -27,15 +31,17 @@ import json
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
 MAGIC = b"B2B1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed: bad magic, version, or shape."""
+    """A checkpoint file is malformed: bad magic, version, shape or
+    checksum."""
 
 
 def _metadata_bytes(metadata: dict) -> bytes:
@@ -64,11 +70,13 @@ def checkpoint_bytes(arrays: dict, metadata: dict | None = None) -> bytes:
         parts.append(struct.pack("<B", values.ndim))
         parts.append(struct.pack(f"<{values.ndim}I", *values.shape))
         parts.append(values.tobytes())
-    return b"".join(parts)
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def parse_checkpoint(data: bytes):
-    """Inverse of checkpoint_bytes; returns (arrays, metadata)."""
+    """Inverse of checkpoint_bytes; returns (arrays, metadata). Reads
+    version 1 files too, which carry no checksum."""
     view = memoryview(data)
     offset = 0
 
@@ -84,8 +92,10 @@ def parse_checkpoint(data: bytes):
     if bytes(take(4, "magic")) != MAGIC:
         raise CheckpointError(f"bad magic: expected {MAGIC!r}")
     version, = struct.unpack("<I", take(4, "version"))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if version == VERSION:
+        view = view[:-4]    # the sections end where the checksum begins
     meta_len, = struct.unpack("<I", take(4, "metadata length"))
     meta_blob = bytes(take(meta_len, "metadata"))
     try:
@@ -121,6 +131,10 @@ def parse_checkpoint(data: bytes):
     if offset != len(view):
         raise CheckpointError(f"{len(view) - offset} trailing bytes after "
                               "the last section")
+    if version == VERSION:
+        stored, = struct.unpack("<I", data[offset:])
+        if zlib.crc32(view) != stored:
+            raise CheckpointError("checksum mismatch: the file is corrupt")
     return arrays, metadata
 
 

@@ -312,18 +312,28 @@ def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
     and the caches of a timewise and a notewise pass. The time scan's
     input is the fixed features, so its gradient is skipped. The caches
     are spent (see nn.stack_backward), the note scan's input included,
-    and the gradients are fresh arrays."""
+    and under dropout the masked outputs too: the note stack's masked
+    top output stream_n takes d(stream_n) once the proj/w gradient has
+    read it. The time stack's top gradient is gathered into the note
+    scan's layer-0 gate buffer, spent once the note stack's backward
+    returns, whenever it fits there (4 * that layer's hidden size >=
+    the time stack's top hidden size). The gradients are fresh
+    arrays."""
     ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)
     grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
              "proj/b": dlogits.sum(axis=(0, 1))}
-    d_top = np.matmul(dlogits, params.proj_w, out=ws.empty(
+    d_top = (stream_n if caches_n[-1].mask is not None else ws.empty(
         "d_note_top", (n, b * t, params.notewise[-1].hidden_size)))
+    np.matmul(dlogits, params.proj_w, out=d_top)
     grads_note, dxs = nn.stack_backward(params.notewise, caches_n, d_top,
                                         ws=ws.scope("notewise"))
     hidden_top = params.timewise[-1].hidden_size
-    d_tw = ws.empty("d_time_top", (t, b * n, hidden_top))
+    spent = caches_n[0].gates.reshape(-1)
+    size = t * b * n * hidden_top
+    d_tw = (spent[:size].reshape(t, b * n, hidden_top) if size <= spent.size
+            else ws.empty("d_time_top", (t, b * n, hidden_top)))
     d_tw.reshape(t, b, n, hidden_top)[...] = dxs[:, :, :hidden_top].reshape(
         n, b, t, hidden_top).transpose(2, 1, 0, 3)
     grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,

@@ -40,8 +40,9 @@ Conventions:
     on the same workspace; ws=None means a workspace of the call's own.
     A backward pass spends what it reads: it writes the gate gradients
     over the cached gates, masks the incoming gradient in place and
-    writes the scan input's gradient over the scan input. Gradient
-    blocks are always fresh arrays.
+    writes each layer's input gradient over that layer's input, the
+    scan input at layer 0 and, under dropout, the masked output of the
+    layer below higher up. Gradient blocks are always fresh arrays.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ class Workspace:
 
     An array a pass returns or caches from its workspace is valid until
     the next pass on the same workspace, and a backward pass spends the
-    caches, the scan input and the incoming gradient it is given (see
-    stack_backward). Gradient blocks are always fresh arrays; a caller
-    that keeps anything else past the next pass copies it.
+    caches, the scan input, the incoming gradient it is given and,
+    under dropout, the masked outputs (see stack_backward). Gradient
+    blocks are always fresh arrays; a caller that keeps anything else
+    past the next pass copies it.
 
     views(key, build, *arrays) keeps what build(*arrays) returns, views
     of those arrays, and returns it again while every one of them is
@@ -412,10 +414,13 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     The pass spends its operands: each step's gate gradient is written
     over the cached gates it has just consumed, each dropout mask is
     applied to the incoming gradient in place, so dstream is spent, and
-    once layer 0's weight gradient has read the scan input xs, dxs is
-    written over xs, so xs is spent too. An upper layer's input gradient
-    and the scratch are ws's arrays: that input may be the h of the
-    layer below, which its backward still reads as h_prev.
+    once a layer's weight gradient has read its input, the input's
+    gradient is written over that input: over the scan input xs at
+    layer 0, so xs is spent too, and over the masked output of the
+    layer below higher up. Only an upper layer whose lower layer is
+    unmasked writes its input gradient into a ws array, since that
+    input is the lower layer's h, which its backward still reads as
+    h_prev; the scratch is ws's too.
     """
     ws = Workspace() if ws is None else ws
     grads_out = [None] * len(layers)
@@ -434,7 +439,8 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
         if li == 0 and not input_grad:
             return grads_out, None
-        out = (cache.inputs.reshape(s_len * rows, d) if li == 0
+        out = (cache.inputs.reshape(s_len * rows, d)
+               if li == 0 or caches[li - 1].mask is not None
                else ws.empty(("dinput", li), (s_len * rows, d)))
         dstream = np.matmul(flat_dz, wx, out=out).reshape(s_len, rows, d)
     return grads_out, dstream

@@ -1,12 +1,15 @@
 """Shared test utilities: random valid piano rolls, a tiny corpus of
-Bach-flavored MIDI files built with the package's own writer, and the
-loop-at-a-time MIDI oracles the array-based midiio is checked against."""
+Bach-flavored MIDI files built with the package's own writer, the
+loop-at-a-time MIDI oracles the array-based midiio is checked against,
+and the row-major LSTM scan and model gradient references the kernel
+and its workspace passes are checked against."""
 
 import math
 
 import numpy as np
 
-from rolltune import midiio
+from rolltune import midiio, model, nn
+from rolltune.features import expand_batch
 from rolltune.midiio import MidiEvent, MidiSong, NoteStateMatrix
 
 
@@ -520,3 +523,127 @@ def oracle_to_midi(matrix, tempo_bpm=midiio.DEFAULT_TEMPO_BPM):
     end_tick = max(tick_of(matrix.n_steps), cursor)
     track.append(MidiEvent(end_tick - cursor, midiio.END_OF_TRACK))
     return MidiSong(ticks_per_quarter=midiio.DEFAULT_DIVISION, tracks=[track])
+
+
+def reference_forward(layers, xs, init_states=None, keep_masks=None):
+    """Row-major reference scan: each step activates its (R, 4H)
+    pre-activation block in place, i, f and o through one sigmoid call.
+    Returns (stream, caches, finals) like nn.stack_forward, with caches
+    as (inputs, gates (S, R, 4H), c, h, h0, c0, mask) tuples."""
+    s_len, rows, _ = xs.shape
+    caches, finals = [], []
+    stream = xs
+    for li, layer in enumerate(layers):
+        hs = layer.hidden_size
+        wx, wh, b = layer.packed()
+        if init_states is None:
+            h = c = np.zeros((rows, hs))
+        else:
+            h, c = init_states[li]
+        h0, c0 = h, c
+        gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
+            s_len, rows, 4 * hs)
+        gates += b
+        c_all = np.empty((s_len, rows, hs))
+        h_all = np.empty_like(c_all)
+        for s in range(s_len):
+            z = gates[s]
+            z += h @ wh.T
+            z[:, :3 * hs] = nn.sigmoid(z[:, :3 * hs])
+            np.tanh(z[:, 3 * hs:], out=z[:, 3 * hs:])
+            c = z[:, hs:2 * hs] * c + z[:, :hs] * z[:, 3 * hs:]
+            h = z[:, 2 * hs:3 * hs] * np.tanh(c)
+            c_all[s], h_all[s] = c, h
+        mask = None if keep_masks is None else keep_masks[li]
+        caches.append((stream, gates, c_all, h_all, h0, c0, mask))
+        finals.append((h, c))
+        stream = h_all if mask is None else h_all * mask
+    return stream, caches, finals
+
+
+def reference_backward(layers, caches, dstream):
+    """Backpropagation through reference_forward's row-major gates."""
+    grads_out = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        layer = layers[li]
+        inputs, gates, c_all, h_all, h0, c0, mask = caches[li]
+        hs, d = layer.hidden_size, layer.input_size
+        wx, wh, _ = layer.packed()
+        s_len, rows, _ = h_all.shape
+        if mask is not None:
+            dstream = dstream * mask
+        dh_carry = dc_carry = np.zeros((rows, hs))
+        dz_all = np.empty((s_len, rows, 4 * hs))
+        for s in range(s_len - 1, -1, -1):
+            act = gates[s]
+            sig = act[:, :3 * hs]
+            i, f, o, g = (act[:, k * hs:(k + 1) * hs] for k in range(4))
+            c_prev = c_all[s - 1] if s > 0 else c0
+            dh = dstream[s] + dh_carry
+            tc = np.tanh(c_all[s])
+            dc = dc_carry + dh * o * (1.0 - tc * tc)
+            dz = dz_all[s]
+            dz[:, :hs] = dc * g
+            dz[:, hs:2 * hs] = dc * c_prev
+            dz[:, 2 * hs:3 * hs] = dh * tc
+            dz[:, :3 * hs] *= sig
+            dz[:, :3 * hs] *= 1.0 - sig
+            dz[:, 3 * hs:] = dc * i * (1.0 - g * g)
+            dc_carry = dc * f
+            dh_carry = dz @ wh
+        flat_dz = dz_all.reshape(s_len * rows, 4 * hs)
+        h_prev = np.concatenate([h0[None], h_all[:-1]], axis=0)
+        dw = np.empty_like(layer.w)
+        dw[:, :d] = flat_dz.T @ inputs.reshape(s_len * rows, d)
+        dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
+        grads_out[li] = nn.gate_views(dw, flat_dz.sum(axis=0), hs)
+        dstream = (flat_dz @ wx).reshape(s_len, rows, d)
+    return grads_out, dstream
+
+
+def reference_loss_gradients(params, batch, note_low, rng=None,
+                             keep_prob=1.0):
+    """model.loss_gradients through reference_forward and
+    reference_backward, every array fresh: no workspace, and no gradient
+    stream written over anything. Dropout masks are drawn from rng in
+    loss_gradients' order. Returns (loss value, log-likelihood per step,
+    grads keyed like model.param_arrays)."""
+    b, n, t, _ = batch.shape
+    masks_t = masks_n = None
+    if keep_prob < 1.0:
+        masks_t = [nn.dropout_mask((b * n, lay.hidden_size), keep_prob, rng)
+                   for lay in params.timewise]
+        masks_n = [nn.dropout_mask((b * t, lay.hidden_size), keep_prob, rng)
+                   for lay in params.notewise]
+    feats = expand_batch(batch, note_low)
+    xs_t = np.ascontiguousarray(feats.transpose(2, 0, 1, 3)).reshape(
+        t, b * n, -1)
+    top_t, caches_t, _ = reference_forward(params.timewise, xs_t,
+                                           keep_masks=masks_t)
+    hidden = top_t.shape[-1]
+    by_song = np.concatenate(
+        [top_t.reshape(t, b, n, hidden).transpose(1, 2, 0, 3),
+         model.teacher_feedback(batch)], axis=-1)
+    xs_n = np.ascontiguousarray(by_song.transpose(1, 0, 2, 3)).reshape(
+        n, b * t, hidden + 2)
+    top_n, caches_n, _ = reference_forward(params.notewise, xs_n,
+                                           keep_masks=masks_n)
+    logits = top_n @ params.proj_w.T + params.proj_b
+    value, loglik, dlogits = model.loss_with_gradient(
+        logits.reshape(n, b, t, 2).transpose(1, 0, 2, 3), batch)
+    dlogits = np.ascontiguousarray(
+        dlogits.transpose(1, 0, 2, 3)).reshape(n, b * t, 2)
+    grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, top_n),
+             "proj/b": dlogits.sum(axis=(0, 1))}
+    grads_n, dxs_n = reference_backward(params.notewise, caches_n,
+                                        dlogits @ params.proj_w)
+    d_top_t = np.ascontiguousarray(
+        dxs_n[:, :, :hidden].reshape(n, b, t, hidden).transpose(2, 1, 0, 3))
+    grads_t, _ = reference_backward(params.timewise, caches_t,
+                                    d_top_t.reshape(t, b * n, hidden))
+    for stack_name, stack_grads in (("timewise", grads_t),
+                                    ("notewise", grads_n)):
+        for i, layer_grads in enumerate(stack_grads):
+            for fname, g in layer_grads.items():
+                grads[f"{stack_name}/{i}/{fname}"] = g
+    return value, loglik, grads

@@ -17,9 +17,9 @@ def sample_arrays(rng):
 
 
 def raw_checkpoint(names, metadata=b"{}"):
-    """Checkpoint bytes with the raw metadata block given (empty by
-    default) and one zero (1,)-shaped section per raw name, written in
-    the order given."""
+    """Version 1 checkpoint bytes, which carry no checksum, with the raw
+    metadata block given (empty by default) and one zero (1,)-shaped
+    section per raw name, written in the order given."""
     parts = [checkpoint.MAGIC, (1).to_bytes(4, "little"),
              len(metadata).to_bytes(4, "little"), metadata,
              len(names).to_bytes(4, "little")]
@@ -148,9 +148,10 @@ class TestValidation:
         # json accepts each block, but rewriting what it parses to gives
         # other bytes: {"a":1} one byte shorter, {"a":2} alone
         assert isinstance(json.loads(metadata), dict)
+        # compared past the version, and without the writer's checksum
         assert checkpoint.checkpoint_bytes(
-            {"w": np.zeros(1)}, json.loads(metadata)) != raw_checkpoint(
-                [b"w"], metadata)
+            {"w": np.zeros(1)}, json.loads(metadata))[8:-4] != raw_checkpoint(
+                [b"w"], metadata)[8:]
         with pytest.raises(CheckpointError, match="not canonical"):
             checkpoint.parse_checkpoint(raw_checkpoint([b"w"], metadata))
 
@@ -175,6 +176,31 @@ class TestValidation:
         # writer refuses an empty name and encodes names as UTF-8
         with pytest.raises(CheckpointError, match=match):
             checkpoint.parse_checkpoint(raw_checkpoint(names))
+
+    def test_every_flipped_byte_is_reported(self):
+        data = checkpoint.checkpoint_bytes(
+            {"b": np.array([1.5, -2.0]), "w": np.ones((2, 2))}, {"k": 1})
+        for k in range(len(data)):
+            flipped = bytearray(data)
+            flipped[k] ^= 0xFF
+            with pytest.raises(CheckpointError):
+                checkpoint.parse_checkpoint(bytes(flipped))
+
+    def test_a_changed_value_fails_the_checksum(self):
+        data = bytearray(checkpoint.checkpoint_bytes({"w": np.ones(2)}, {}))
+        data[-5] ^= 0x80    # the sign bit of the last value
+        with pytest.raises(CheckpointError, match="checksum"):
+            checkpoint.parse_checkpoint(bytes(data))
+
+    def test_version_1_files_still_read(self):
+        arrays, meta = {"b": np.arange(3.0), "w": np.ones((2, 2))}, {"k": 1}
+        v2 = checkpoint.checkpoint_bytes(arrays, meta)
+        v1 = v2[:4] + (1).to_bytes(4, "little") + v2[8:-4]
+        got, got_meta = checkpoint.parse_checkpoint(v1)
+        assert got_meta == meta
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(got[name], arr)
+        assert checkpoint.checkpoint_bytes(got, got_meta) == v2
 
     def test_error_type_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)

@@ -9,7 +9,7 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_batch
 from rolltune.midiio import NoteStateMatrix
 
-from helpers import random_matrix
+from helpers import random_matrix, reference_loss_gradients
 
 
 def small_params(rng, timewise=(3,), notewise=(4,)):
@@ -272,21 +272,56 @@ class TestWorkspace:
             for a, b in zip(first, second):
                 assert np.shares_memory(a.gates, b.gates)
 
+    @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2))])
+    @pytest.mark.parametrize("keep_prob", [1.0, 0.6])
+    def test_one_workspace_matches_the_fresh_array_reference(
+            self, sizes, keep_prob):
+        """Three passes on one workspace equal the reference model pass,
+        which gives every gradient stream a fresh array, to the bit. The
+        time stack's top gradient takes the note scan's spent layer-0
+        gates, and under dropout the note stack's top gradient and each
+        upper layer's input gradient take spent masked outputs, so the
+        workspace holds no array of their own."""
+        rng = np.random.default_rng(28)
+        params = small_params(rng, *sizes)
+        ws = nn.Workspace()
+        for k in range(3):
+            batch = small_batch(rng, b=2, n=5, t=6)
+            want = reference_loss_gradients(
+                params, batch, 60, rng=np.random.default_rng(k),
+                keep_prob=keep_prob)
+            got = model.loss_gradients(
+                params, batch, 60, rng=np.random.default_rng(k),
+                keep_prob=keep_prob, ws=ws)
+            assert got[:2] == want[:2]
+            assert set(got[2]) == set(want[2])
+            for name, grad in want[2].items():
+                np.testing.assert_array_equal(got[2][name], grad)
+        assert "d_time_top" not in ws._arrays
+        if keep_prob < 1.0:
+            assert "d_note_top" not in ws._arrays
+            for stack in ("timewise", "notewise"):
+                assert not any(key[0] == "dinput"
+                               for key in ws.scope(stack)._arrays)
 
     def test_desk_pass_holds_no_spent_copies(self):
         """A desk-sized training pass (batch 4 x 36 notes x 32 steps,
-        one 24-unit layer per axis, keep_prob 0.75) keeps 17,909,760
+        one 24-unit layer per axis, keep_prob 0.75) keeps 16,140,288
         bytes of workspace. The time stack's masked output lives only in
         the note scan's input, masks apply to gradients in place, the
         note scan's input gradient is written over its input, and each
-        scan forms its recurrent product in its gate-major scratch."""
+        scan forms its recurrent product in its gate-major scratch. The
+        note stack's top gradient is written over its masked top output
+        and the time stack's top gradient over the note scan's spent
+        layer-0 gates, so neither d_note_top nor d_time_top has an array
+        of its own."""
         rng = np.random.default_rng(27)
         params = model.init_biaxial_params([24], [24], rng)
         batch = small_batch(rng, b=4, n=36, t=32, note_low=48)
         ws = nn.Workspace()
         model.loss_gradients(params, batch, 48, rng=rng, keep_prob=0.75,
                              ws=ws)
-        assert sum(arr.nbytes for arr in ws.arrays()) == 17_909_760
+        assert sum(arr.nbytes for arr in ws.arrays()) == 16_140_288
 
 
 class TestParamArrays:

@@ -12,6 +12,8 @@ import pytest
 
 from rolltune import nn
 
+from helpers import reference_backward, reference_forward
+
 
 def scalar_lstm_step(params, x, h_prev, c_prev):
     """Element-by-element reference: no numpy vector math."""
@@ -48,82 +50,6 @@ def step_one(cell, x, h_prev, c_prev):
     states = [(h_prev[None], c_prev[None])]
     _, [(h, c)] = nn.stack_step([cell], x[None], states)
     return h[0], c[0]
-
-
-def reference_forward(layers, xs, init_states=None, keep_masks=None):
-    """Row-major reference scan: each step activates its (R, 4H)
-    pre-activation block in place, i, f and o through one sigmoid call.
-    Returns (stream, caches, finals) like nn.stack_forward, with caches
-    as (inputs, gates (S, R, 4H), c, h, h0, c0, mask) tuples."""
-    s_len, rows, _ = xs.shape
-    caches, finals = [], []
-    stream = xs
-    for li, layer in enumerate(layers):
-        hs = layer.hidden_size
-        wx, wh, b = layer.packed()
-        if init_states is None:
-            h = c = np.zeros((rows, hs))
-        else:
-            h, c = init_states[li]
-        h0, c0 = h, c
-        gates = (stream.reshape(s_len * rows, -1) @ wx.T).reshape(
-            s_len, rows, 4 * hs)
-        gates += b
-        c_all = np.empty((s_len, rows, hs))
-        h_all = np.empty_like(c_all)
-        for s in range(s_len):
-            z = gates[s]
-            z += h @ wh.T
-            z[:, :3 * hs] = nn.sigmoid(z[:, :3 * hs])
-            np.tanh(z[:, 3 * hs:], out=z[:, 3 * hs:])
-            c = z[:, hs:2 * hs] * c + z[:, :hs] * z[:, 3 * hs:]
-            h = z[:, 2 * hs:3 * hs] * np.tanh(c)
-            c_all[s], h_all[s] = c, h
-        mask = None if keep_masks is None else keep_masks[li]
-        caches.append((stream, gates, c_all, h_all, h0, c0, mask))
-        finals.append((h, c))
-        stream = h_all if mask is None else h_all * mask
-    return stream, caches, finals
-
-
-def reference_backward(layers, caches, dstream):
-    """Backpropagation through reference_forward's row-major gates."""
-    grads_out = [None] * len(layers)
-    for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
-        inputs, gates, c_all, h_all, h0, c0, mask = caches[li]
-        hs, d = layer.hidden_size, layer.input_size
-        wx, wh, _ = layer.packed()
-        s_len, rows, _ = h_all.shape
-        if mask is not None:
-            dstream = dstream * mask
-        dh_carry = dc_carry = np.zeros((rows, hs))
-        dz_all = np.empty((s_len, rows, 4 * hs))
-        for s in range(s_len - 1, -1, -1):
-            act = gates[s]
-            sig = act[:, :3 * hs]
-            i, f, o, g = (act[:, k * hs:(k + 1) * hs] for k in range(4))
-            c_prev = c_all[s - 1] if s > 0 else c0
-            dh = dstream[s] + dh_carry
-            tc = np.tanh(c_all[s])
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            dz = dz_all[s]
-            dz[:, :hs] = dc * g
-            dz[:, hs:2 * hs] = dc * c_prev
-            dz[:, 2 * hs:3 * hs] = dh * tc
-            dz[:, :3 * hs] *= sig
-            dz[:, :3 * hs] *= 1.0 - sig
-            dz[:, 3 * hs:] = dc * i * (1.0 - g * g)
-            dc_carry = dc * f
-            dh_carry = dz @ wh
-        flat_dz = dz_all.reshape(s_len * rows, 4 * hs)
-        h_prev = np.concatenate([h0[None], h_all[:-1]], axis=0)
-        dw = np.empty_like(layer.w)
-        dw[:, :d] = flat_dz.T @ inputs.reshape(s_len * rows, d)
-        dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
-        grads_out[li] = nn.gate_views(dw, flat_dz.sum(axis=0), hs)
-        dstream = (flat_dz @ wx).reshape(s_len, rows, d)
-    return grads_out, dstream
 
 
 class TestPackedCell:
