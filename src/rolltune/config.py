@@ -12,6 +12,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
+from .features import BEAT_PERIOD
 from .theory import TheoryConfig
 
 
@@ -62,8 +63,13 @@ class RunConfig(TheoryConfig):
         if self.n_notes < 1 or self.note_low < 0 \
                 or self.note_low + self.n_notes > 128:
             raise ValueError("note range must fit inside MIDI 0..127")
-        if self.steps_per_measure < 1:
-            raise ValueError("steps_per_measure must be >= 1")
+        if self.steps_per_measure != BEAT_PERIOD:
+            raise ValueError(
+                f"steps_per_measure must be {BEAT_PERIOD}, got "
+                f"{self.steps_per_measure}: the beat features use the "
+                f"{BEAT_PERIOD}-step beat encoding (step mod {BEAT_PERIOD}),"
+                " and measure-aligned segments and generate's opening "
+                "step match its beat bits only on that grid")
         for name in ("timewise_hidden", "notewise_hidden"):
             sizes = getattr(self, name)
             if not isinstance(sizes, list) or not sizes:
@@ -96,6 +102,11 @@ class RunConfig(TheoryConfig):
             raise ValueError("temperature must be positive")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be positive")
+        if self.rl_batch_size > self.replay_capacity:
+            raise ValueError(
+                f"rl_batch_size {self.rl_batch_size} exceeds "
+                f"replay_capacity {self.replay_capacity}: the replay "
+                "never holds a full batch, so tune would take no Q-update")
         if self.tempo_bpm <= 0:
             raise ValueError("tempo must be positive")
         if self.eval_songs < 1 or self.gen_steps < 1:

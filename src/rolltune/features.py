@@ -28,7 +28,7 @@ from .nn import Workspace
 FEATURE_WIDTH = 80
 VICINITY_RADIUS = 12
 _VICINITY = 2 * VICINITY_RADIUS + 1
-_BEAT_PERIOD = 16
+BEAT_PERIOD = 16
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ def _constants(note_low: int, n: int):
     read-only: the scaled MIDI column (N,), the pitch-class one-hot
     (N, 12) and the beat-bit table (16, 4) by step mod 16."""
     midi = note_low + np.arange(n)
-    beat_bits = (np.arange(_BEAT_PERIOD)[:, None] >> np.arange(4)) & 1
+    beat_bits = (np.arange(BEAT_PERIOD)[:, None] >> np.arange(4)) & 1
     consts = (midi / 128.0, np.eye(12)[midi % 12],
               beat_bits.astype(np.float64))
     for arr in consts:
@@ -77,7 +77,7 @@ def expand_columns(columns: np.ndarray, note_low: int,
     # Summing 0/1 play bits is exact in any order.
     out[:, :, 63:75] = (columns[:, :, 0] @ pitch_class)[:, None, :]
 
-    beat = np.mod(np.asarray(positions, dtype=np.int64), _BEAT_PERIOD)
+    beat = np.mod(np.asarray(positions, dtype=np.int64), BEAT_PERIOD)
     out[:, :, 75:79] = beat_bits[beat][:, None, :]
     return out
 

@@ -118,7 +118,8 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
     return params
 
 
-def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
+def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None,
+                  top=None):
     """Scan the time axis. feats (B, N, T, F) -> (B, N, T, H_top).
 
     Notes never interact here; permuting them permutes outputs. feats
@@ -126,7 +127,9 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
     scanned in place. The top output, after its dropout mask, is written
     in one pass into the first H_top columns of the note scan's input
     array, where notewise_pass on the same workspace finds it; the
-    returned (B, N, T, H_top) array is that view.
+    returned (B, N, T, H_top) array is that view. top, when given, is
+    the (T, B*N, H_top) memory the scan's own top stream, unmasked, is
+    written into (see nn.stack_forward's out).
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, f = feats.shape
@@ -135,18 +138,39 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None):
     top_mask = None if keep_masks is None else keep_masks[-1]
     below = None if keep_masks is None else [*keep_masks[:-1], None]
     stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=below,
-                                         ws=ws.scope("timewise"))
+                                         ws=ws.scope("timewise"), out=top)
     # masked here rather than by the scan, so the cache still carries
     # the mask stack_backward applies to the top gradient
     caches[-1].mask = top_mask
     hidden = stream.shape[-1]
     out = _note_inputs(ws, b, n, t, hidden)[1][..., :hidden]
-    top = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
+    by_song = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
     if top_mask is None:
-        out[...] = top
+        out[...] = by_song
     else:
-        np.multiply(top, top_mask.reshape(b, n, 1, hidden), out=out)
+        np.multiply(by_song, top_mask.reshape(b, n, 1, hidden), out=out)
     return out, caches
+
+
+def _time_top_in_note_gates(ws, params: BiaxialParams, b, n, t):
+    """Memory for the time stack's top stream (T, B*N, H_top) during a
+    training pass: the first floats of the note scan's layer-0 gate
+    buffer, which the note scan writes only after timewise_pass has
+    copied that stream into the note scan's input. None, for an array
+    of the time scan's own, when it does not fit there (4 * the note
+    stack's layer-0 hidden size < H_top)."""
+    hidden, note_hidden = (params.timewise[-1].hidden_size,
+                           params.notewise[0].hidden_size)
+    if 4 * note_hidden < hidden:
+        return None
+    # the array nn.stack_forward projects the note scan's layer 0 into
+    gates = ws.scope("notewise").empty(("gates", 0),
+                                       (n, b * t, 4 * note_hidden))
+    size = t * b * n * hidden
+    # kept as one view object, so the time scan keeps its step views
+    return ws.views(("time_top", t, b * n, hidden),
+                    lambda g: g.reshape(-1)[:size].reshape(t, b * n, hidden),
+                    gates)
 
 
 def _note_inputs(ws, b, n, t, hidden):
@@ -197,10 +221,11 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     each note's feedback pair is the next column's pair of the note below
     it in targets (B, N, T, 2), as teacher_feedback builds it.
 
-    Returns (logits, caches, stream): logits (B, N, T, 2), and the scan's
-    stack_forward caches and top stream (N, B*T, H_top), which backward
-    reads. The scan input, each note's time output followed by its
-    feedback pair, is written note-major into one (N, B*T, H+2) array; a
+    Returns (logits, caches, stream): logits (B, N, T, 2), the scan's
+    stack_forward caches, which backward reads, and its top stream
+    (N, B*T, H_top), the top cache's output stream. The scan input,
+    each note's time output followed by its feedback pair, is written
+    note-major into one (N, B*T, H+2) array; a
     timewise_pass output on the same workspace already sits there and is
     not copied.
     """
@@ -296,44 +321,39 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
         masks_n = [nn.dropout_mask((b * t, lay.hidden_size), keep_prob, rng)
                    for lay in params.notewise]
     feats = expand_batch(batch, note_low, ws)
-    timewise_out, caches_t = timewise_pass(feats, params.timewise, masks_t,
-                                           ws)
-    logits, caches_n, stream_n = notewise_pass(
+    timewise_out, caches_t = timewise_pass(
+        feats, params.timewise, masks_t, ws,
+        top=_time_top_in_note_gates(ws, params, b, n, t))
+    logits, caches_n, _ = notewise_pass(
         timewise_out, params, np.asarray(batch, dtype=np.float64),
         keep_masks=masks_n, ws=ws)
     value, loglik, dlogits = loss_with_gradient(logits, batch)
-    return value, loglik, backward(params, caches_t, caches_n, stream_n,
-                                   dlogits, ws)
+    return value, loglik, backward(params, caches_t, caches_n, dlogits, ws)
 
 
-def backward(params: BiaxialParams, caches_t, caches_n, stream_n,
+def backward(params: BiaxialParams, caches_t, caches_n,
              dlogits: np.ndarray, ws=None) -> dict:
     """Gradients keyed like param_arrays, given d(logits) (B, N, T, 2)
     and the caches of a timewise and a notewise pass. The time scan's
     input is the fixed features, so its gradient is skipped. The caches
-    are spent (see nn.stack_backward), the note scan's input included,
-    and under dropout the masked outputs too: the note stack's masked
-    top output stream_n takes d(stream_n) once the proj/w gradient has
-    read it. The time stack's top gradient is gathered into the note
-    scan's layer-0 gate buffer, spent once the note stack's backward
-    returns, whenever it fits there (4 * that layer's hidden size >=
-    the time stack's top hidden size). The gradients are fresh
-    arrays."""
+    are spent (see nn.stack_backward), the note scan's input included:
+    the note stack's top gradient is written over its top output stream
+    once the proj/w gradient has read it, and the time stack's top
+    gradient is gathered into the time stack's top output stream, which
+    a training pass places in the note scan's layer-0 gate buffer,
+    spent once the note stack's backward returns. The gradients are
+    fresh arrays."""
     ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)
-    grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, stream_n),
+    d_top = caches_n[-1].out
+    grads = {"proj/w": np.einsum("nrk,nrh->kh", dlogits, d_top),
              "proj/b": dlogits.sum(axis=(0, 1))}
-    d_top = (stream_n if caches_n[-1].mask is not None else ws.empty(
-        "d_note_top", (n, b * t, params.notewise[-1].hidden_size)))
     np.matmul(dlogits, params.proj_w, out=d_top)
     grads_note, dxs = nn.stack_backward(params.notewise, caches_n, d_top,
                                         ws=ws.scope("notewise"))
     hidden_top = params.timewise[-1].hidden_size
-    spent = caches_n[0].gates.reshape(-1)
-    size = t * b * n * hidden_top
-    d_tw = (spent[:size].reshape(t, b * n, hidden_top) if size <= spent.size
-            else ws.empty("d_time_top", (t, b * n, hidden_top)))
+    d_tw = caches_t[-1].out
     d_tw.reshape(t, b, n, hidden_top)[...] = dxs[:, :, :hidden_top].reshape(
         n, b, t, hidden_top).transpose(2, 1, 0, 3)
     grads_time, _ = nn.stack_backward(params.timewise, caches_t, d_tw,

@@ -31,18 +31,22 @@ Conventions:
     shapes, so a training or Q-update loop stops allocating (and the
     kernel faulting in) tens of megabytes per iteration. It also keeps
     each scan's per-step views of those arrays (the step's gate block,
-    its gate-major pre-activations, the i/f/o and g slabs, its c and h
-    slots and the scratch slices), built once and rebuilt only when one
-    of the arrays they view is replaced, because at a few rows building
-    them costs as much as the step's arithmetic. Every pass runs on a
+    its gate-major pre-activations, the i/f/o and g slabs, its c, h and
+    output slots and the scratch slices), built once and rebuilt only
+    when one of the arrays they view is replaced, because at a few rows
+    building them costs as much as the step's arithmetic. Every pass runs on a
     workspace: a function given ws=... writes its scans, scratch and
     caches into it, and every such array is valid until the next pass
     on the same workspace; ws=None means a workspace of the call's own.
-    A backward pass spends what it reads: it writes the gate gradients
-    over the cached gates, masks the incoming gradient in place and
-    writes each layer's input gradient over that layer's input, the
-    scan input at layer 0 and, under dropout, the masked output of the
-    layer below higher up. Gradient blocks are always fresh arrays.
+    A scan caches no h: each layer keeps one output stream, its h or,
+    under dropout, its masked h, and the backward rebuilds each h_prev
+    as o * tanh(c) from the tanh its gradient needs. A backward pass
+    spends what it reads: it writes the gate gradients over the cached
+    gates, masks the incoming gradient in place and writes the rebuilt
+    h_prev over its spent slots, and writes each layer's input gradient
+    over that layer's input, the scan input at layer 0 and the output
+    stream of the layer below higher up. Gradient blocks are always
+    fresh arrays.
 """
 
 from __future__ import annotations
@@ -97,10 +101,10 @@ class Workspace:
 
     An array a pass returns or caches from its workspace is valid until
     the next pass on the same workspace, and a backward pass spends the
-    caches, the scan input, the incoming gradient it is given and,
-    under dropout, the masked outputs (see stack_backward). Gradient
-    blocks are always fresh arrays; a caller that keeps anything else
-    past the next pass copies it.
+    caches, the layers' output streams, the scan input and the incoming
+    gradient it is given (see stack_backward). Gradient blocks are
+    always fresh arrays; a caller that keeps anything else past the
+    next pass copies it.
 
     views(key, build, *arrays) keeps what build(*arrays) returns, views
     of those arrays, and returns it again while every one of them is
@@ -232,25 +236,31 @@ def stack_step(layers, x, states, ws=None):
 
 @dataclass
 class _LayerCache:
+    """What stack_backward reads of one layer's scan. The layer's h is
+    not kept: the backward rebuilds each h_prev as o * tanh(c)."""
+
     inputs: np.ndarray      # (S, R, D) stream entering the layer
     gates: np.ndarray       # (S, R, 4H) memory; step s holds its activated
                             # gates gate-major, read as (4, R, H): i, f, o, g
-    c: np.ndarray           # (S + 1, R, H): slot 0 holds the initial
-    h: np.ndarray           # state and step s writes c[s + 1], so c[s]
-                            # and h[s] are step s's c_prev and h_prev
+    c: np.ndarray           # (S + 1, R, H): slot 0 holds the initial c and
+                            # step s writes c[s + 1], so c[s] is its c_prev
+    h0: np.ndarray          # (R, H) initial h, step 0's h_prev
+    out: np.ndarray         # (S, R, H) output stream: h, or h * mask
     mask: np.ndarray | None
 
 
-def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
+def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None,
+                  out=None):
     """Run a stack over a whole scan.
 
     xs has shape (S, R, D): S steps of R parallel rows. init_states, a
-    list of (h, c) pairs of shape (R, H), is copied into the first slot
-    of each layer's cached h and c (zeros without it) and never written.
-    Returns the top stream (S, R, H_top), a cache for stack_backward,
-    and the final (h, c) list, which are views of the cache's last step.
-    Every array of the scan is ws's, and so are the per-step views of
-    them (see Workspace).
+    list of (h, c) pairs of shape (R, H), is copied into each layer's
+    cached initial h and the first slot of its cached c (zeros without
+    it) and never written. Returns the top stream (S, R, H_top), a
+    cache for stack_backward, and the final (h, c) list, views of the
+    last step's h and c. Every array of the scan is ws's, and so are
+    the per-step views of them (see Workspace), except that out, when
+    given, takes the top layer's output stream.
 
     Inputs are projected in one matrix product per layer into a
     row-major (S, R, 4H) gates buffer. Each step adds the recurrent
@@ -259,10 +269,13 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
     in that scratch's memory, which the copy then overwrites. One
     sigmoid call activates i, f and o and one tanh the candidate g,
     writing into the step's own block read as (4, R, H), which is what
-    the cache keeps. Then c = f * c_prev + i * g and h = o * tanh(c)
-    are written straight into the cached c and h, after the initial
-    state's slot. That elementwise part is _cell_update, which
-    StackStepper shares.
+    the cache keeps. Then c = f * c_prev + i * g is written straight
+    into the cached c, after the initial state's slot, and h = o *
+    tanh(c) into the layer's output stream. That elementwise part is
+    _cell_update, which StackStepper shares. A masked layer writes h
+    into one (R, H) slot instead, where the next step reads it, and
+    h * mask into its output stream, so each layer keeps one (S, R, H)
+    stream whether masked or not.
     """
     ws = Workspace() if ws is None else ws
     s_len, rows, _ = xs.shape
@@ -276,26 +289,28 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None):
                   out=gates.reshape(s_len * rows, 4 * hs))
         gates += b
         c_all = ws.empty(("c", li), (s_len + 1, rows, hs))
-        h_all = ws.empty(("h", li), (s_len + 1, rows, hs))
+        h0 = ws.empty(("h0", li), (rows, hs))
         if init_states is None:
-            h_all[0] = c_all[0] = 0.0
+            h0[...] = c_all[0] = 0.0
         else:
-            h_all[0], c_all[0] = init_states[li]
-        h, c = h_all[0], c_all[0]
+            h0[...], c_all[0] = init_states[li]
+        out_li = (out if out is not None and li == len(layers) - 1
+                  else ws.empty(("out", li), (s_len, rows, hs)))
+        mask = None if keep_masks is None else keep_masks[li]
+        slot = None if mask is None else ws.empty(("h_slot", li), (rows, hs))
+        h, c = h0, c_all[0]
         z = ws.empty(("z", hs), (4, rows, hs))
         rec = z.reshape(rows, 4 * hs)
         wh_t = _recurrent_operand(wh, rows)
-        for gate_s, cell in ws.views(("steps", li), _scan_views,
-                                     gates, c_all, h_all, z):
+        for gate_s, cell, out_s in ws.views(("steps", li), _scan_views,
+                                            gates, c_all, out_li, z, slot):
             gate_s += np.matmul(h, wh_t, rec)
             c, h = _cell_update(cell, c)
-        mask = None if keep_masks is None else keep_masks[li]
-        caches.append(_LayerCache(stream, gates, c_all, h_all, mask))
+            if mask is not None:
+                np.multiply(h, mask, out_s)
+        caches.append(_LayerCache(stream, gates, c_all, h0, out_li, mask))
         finals.append((h, c))
-        stream = h_all[1:]
-        if mask is not None:
-            stream = np.multiply(stream, mask,
-                                 out=ws.empty(("masked", li), stream.shape))
+        stream = out_li
     return stream, caches, finals
 
 
@@ -307,10 +322,12 @@ def _recurrent_operand(wh, rows):
     return wh.T if rows == 1 else np.ascontiguousarray(wh.T)
 
 
-def _scan_views(gates, c_all, h_all, z):
-    """Per step s of a scan over these buffers: its (R, 4H) gate block
-    and the _cell_update views that read its pre-activations and write
-    its activated gates, c_all[s + 1] and h_all[s + 1]."""
+def _scan_views(gates, c_all, out, z, slot):
+    """Per step s of a scan over these buffers: its (R, 4H) gate block,
+    the _cell_update views that read its pre-activations and write its
+    activated gates, c_all[s + 1] and its h, and out[s]. The h is
+    out[s] itself, or the (R, H) slot when one is given (a masked
+    layer, which writes h * mask into out[s])."""
     s_len, rows, four_h = gates.shape
     hs = four_h // 4
     # the same memory twice: step s's pre-activations seen gate-major,
@@ -318,9 +335,10 @@ def _scan_views(gates, c_all, h_all, z):
     pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
     acts = gates.reshape(s_len, 4, rows, hs)
     scratch = _scratch_views(z)
-    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out))
-            for gate_s, pre_s, act, c_out, h_out in zip(
-                gates, pre, acts, c_all[1:], h_all[1:])]
+    h_outs = out if slot is None else [slot] * s_len
+    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out), out_s)
+            for gate_s, pre_s, act, c_out, h_out, out_s in zip(
+                gates, pre, acts, c_all[1:], h_outs, out)]
 
 
 def _scratch_views(z):
@@ -411,16 +429,16 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     GATE_FIELDS and holds row-block views of one packed gradient block,
     which is always a fresh array.
 
-    The pass spends its operands: each step's gate gradient is written
-    over the cached gates it has just consumed, each dropout mask is
-    applied to the incoming gradient in place, so dstream is spent, and
-    once a layer's weight gradient has read its input, the input's
-    gradient is written over that input: over the scan input xs at
-    layer 0, so xs is spent too, and over the masked output of the
-    layer below higher up. Only an upper layer whose lower layer is
-    unmasked writes its input gradient into a ws array, since that
-    input is the lower layer's h, which its backward still reads as
-    h_prev; the scratch is ws's too.
+    The pass spends its operands: each dropout mask is applied to the
+    incoming gradient in place, each step's gate gradient is written
+    over the cached gates it has just consumed, and each h_prev, rebuilt
+    as o * tanh(c), over a slot of the incoming gradient that step has
+    already read, so dstream is spent and ends up holding the layer's
+    h_prev stream, which the weight gradient then reads. Once that
+    product has read the layer's input, the input's gradient is written
+    over it: over the scan input xs at layer 0, so xs is spent too, and
+    over the output stream of the layer below higher up, which becomes
+    that layer's incoming gradient. The scratch is ws's.
     """
     ws = Workspace() if ws is None else ws
     grads_out = [None] * len(layers)
@@ -433,16 +451,14 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
             np.multiply(dstream, cache.mask, out=dstream)
         flat_dz = _gate_gradients(cache, wh, dstream, ws).reshape(
             s_len * rows, 4 * hs)
+        inputs = cache.inputs.reshape(s_len * rows, d)
         dw = np.empty_like(layer.w)
-        dw[:, :d] = flat_dz.T @ cache.inputs.reshape(s_len * rows, d)
-        dw[:, d:] = flat_dz.T @ cache.h[:-1].reshape(s_len * rows, hs)
+        dw[:, :d] = flat_dz.T @ inputs
+        dw[:, d:] = flat_dz.T @ dstream.reshape(s_len * rows, hs)
         grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
         if li == 0 and not input_grad:
             return grads_out, None
-        out = (cache.inputs.reshape(s_len * rows, d)
-               if li == 0 or caches[li - 1].mask is not None
-               else ws.empty(("dinput", li), (s_len * rows, d)))
-        dstream = np.matmul(flat_dz, wx, out=out).reshape(s_len, rows, d)
+        dstream = np.matmul(flat_dz, wx, out=inputs).reshape(s_len, rows, d)
     return grads_out, dstream
 
 
@@ -450,7 +466,11 @@ def _gate_gradients(cache, wh, dstream, ws):
     """Gradient (S, R, 4H) w.r.t. one layer's pre-activations, row-major
     like the gates stack_forward projected, given the gradient w.r.t.
     the layer's output stream (S, R, H). It is written over cache.gates,
-    step by step once that step's gates are read.
+    step by step once that step's gates are read. Step s also writes its
+    h = o * tanh(c), from the tanh its gradient needs, into dstream[s +
+    1], which step s + 1 has read already, and dstream[0] takes the
+    initial h: dstream leaves holding each step's h_prev. The product o
+    * tanh(c) is the forward's, so the rebuilt h equals it bit for bit.
 
     Each step reads the cached gates as contiguous (4, R, H) slabs and
     builds its gradient gate-major in ws's (4, R, H) scratch, then
@@ -469,6 +489,7 @@ def _gate_gradients(cache, wh, dstream, ws):
     d_sig = ws.empty(("d_sig", hs), (3, rows, hs))
     dh, tc, dc, dc_next, dh_next = ws.empty(("dstep", hs), (5, rows, hs))
     dh_carry = dc_carry = 0.0
+    h_slot = None   # dstream[s + 1], read by the step before
     # step s, newest first, with c[s + 1] (its c) and c[s] (its c_prev)
     steps = zip(range(s_len - 1, -1, -1), acts[::-1], dstream[::-1],
                 cache.c[:0:-1], cache.c[-2::-1], dz_rows[::-1], dz_all[::-1])
@@ -477,6 +498,8 @@ def _gate_gradients(cache, wh, dstream, ws):
         sig = act[:3]
         np.add(dstream_s, dh_carry, dh)
         np.tanh(c_s, tc)
+        if h_slot is not None:  # step s's h, step s + 1's h_prev
+            np.multiply(tc, o, h_slot)
         # dc = dc_carry + dh * o * (1 - tc * tc)
         np.multiply(tc, tc, dc)
         np.subtract(1.0, dc, dc)
@@ -497,6 +520,8 @@ def _gate_gradients(cache, wh, dstream, ws):
         dz_row[...] = dz    # overwrites this step's gates
         if s:
             dh_carry = np.matmul(dz_s, wh, dh_next)
+        h_slot = dstream_s
+    h_slot[...] = cache.h0
     return dz_all
 
 

@@ -190,7 +190,10 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     arrays, cache for trunk_scores_backward). The stored cells are
     inputs here, never differentiated through. The passes keep their
     arrays in the nn.Workspace ws, the advanced cells included; the
-    scores are fresh.
+    scores are fresh. The time stack's top stream, which the top cells
+    view, keeps an array of its own rather than a training pass's place
+    in the note scan's gates, so the cells outlive the note scan;
+    trunk_scores_backward spends it with the rest of the cache.
     """
     ws = nn.Workspace() if ws is None else ws
     b, n = snapshot.col.shape[:2]
@@ -199,7 +202,7 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     stream, t_caches, finals = nn.stack_forward(
         trunk.timewise, feats.reshape(1, b * n, -1),
         init_states=snapshot.cells, ws=ws.scope("timewise"))
-    logits, n_caches, stream_n = notewise_pass(
+    logits, n_caches, _ = notewise_pass(
         stream[0].reshape(b, n, 1, -1), trunk, np.zeros((b, n, 1, 2)),
         ws=ws)
     # (M, B, 2) over the note-major buffer, so sums run along melody rows
@@ -214,7 +217,7 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
     scores[:, 2:] = (lp + la).T
     scores[:, MELODY_NO_EVENT] = np.where(held, lp[m, k] + lna[m, k], silent)
     scores[:, MELODY_NOTE_OFF] = np.where(held, silent, silent - LN2)
-    cache = (t_caches, n_caches, stream_n, logits, held, m, rows)
+    cache = (t_caches, n_caches, logits, held, m, rows)
     return scores, finals, cache
 
 
@@ -223,7 +226,7 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     """Gradients of a scalar through trunk_scores, given d(scores):
     d(logits) on the melody rows, then model.backward on the workspace
     the scores were computed with."""
-    t_caches, n_caches, stream_n, logits, held, m, rows = cache
+    t_caches, n_caches, logits, held, m, rows = cache
     b, n_mel = len(held), rows.stop - rows.start
     d_hold = dscores[:, MELODY_NO_EVENT]
     dlp = np.ascontiguousarray(dscores[:, 2:].T)
@@ -241,7 +244,7 @@ def trunk_scores_backward(trunk: BiaxialParams, cache,
     dmel = dlogits[:, rows, 0].transpose(1, 0, 2)
     dmel[:, :, 0] = dlp * (1.0 - sig_p) - dlnp * sig_p
     dmel[:, :, 1] = dla * (1.0 - sig_a) - dlna * sig_a
-    return backward(trunk, t_caches, n_caches, stream_n, dlogits, ws)
+    return backward(trunk, t_caches, n_caches, dlogits, ws)
 
 
 @dataclass

@@ -647,3 +647,13 @@ def reference_loss_gradients(params, batch, note_low, rng=None,
             for fname, g in layer_grads.items():
                 grads[f"{stack_name}/{i}/{fname}"] = g
     return value, loglik, grads
+
+
+def workspace_bytes(ws, prefix=""):
+    """Bytes of each array an nn.Workspace holds, keyed by its key, after
+    the names of the scopes it sits in: "notewise/('gates', 0)". A pin
+    compared against this names the buffer that grew."""
+    sizes = {f"{prefix}{key}": arr.nbytes for key, arr in ws._arrays.items()}
+    for name, child in ws._scopes.items():
+        sizes.update(workspace_bytes(child, f"{prefix}{name}/"))
+    return sizes

@@ -9,7 +9,8 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_batch
 from rolltune.midiio import NoteStateMatrix
 
-from helpers import random_matrix, reference_loss_gradients
+from helpers import (random_matrix, reference_loss_gradients,
+                     workspace_bytes)
 
 
 def small_params(rng, timewise=(3,), notewise=(4,)):
@@ -272,16 +273,18 @@ class TestWorkspace:
             for a, b in zip(first, second):
                 assert np.shares_memory(a.gates, b.gates)
 
-    @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2))])
+    # with the third sizes the time stack's top stream does not fit in
+    # the note scan's layer-0 gates (4 * 2 < 9): it keeps its own array
+    @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2)),
+                                       ((9,), (2,))])
     @pytest.mark.parametrize("keep_prob", [1.0, 0.6])
     def test_one_workspace_matches_the_fresh_array_reference(
             self, sizes, keep_prob):
         """Three passes on one workspace equal the reference model pass,
         which gives every gradient stream a fresh array, to the bit. The
-        time stack's top gradient takes the note scan's spent layer-0
-        gates, and under dropout the note stack's top gradient and each
-        upper layer's input gradient take spent masked outputs, so the
-        workspace holds no array of their own."""
+        gradient streams and the rebuilt h_prev take spent memory, so the
+        workspace holds no h cache and no gradient stream array of its
+        own."""
         rng = np.random.default_rng(28)
         params = small_params(rng, *sizes)
         ws = nn.Workspace()
@@ -297,31 +300,76 @@ class TestWorkspace:
             assert set(got[2]) == set(want[2])
             for name, grad in want[2].items():
                 np.testing.assert_array_equal(got[2][name], grad)
-        assert "d_time_top" not in ws._arrays
-        if keep_prob < 1.0:
-            assert "d_note_top" not in ws._arrays
-            for stack in ("timewise", "notewise"):
-                assert not any(key[0] == "dinput"
-                               for key in ws.scope(stack)._arrays)
+        assert_no_spent_copies(ws)
+
+    # Desk shapes: batch 4 x 36 notes x 32 steps, so the time scan runs
+    # 32 steps of 144 rows and the note scan 36 steps of 128 rows.
+    SHARED = {"features": 2_949_120, "note_inputs": 958_464}
+    TIME_LAYER = {"gates": 3_538_944, "c": 912_384, "h0": 27_648,
+                  "out": 884_736}
+    NOTE_LAYER = {"gates": 3_538_944, "c": 909_312, "h0": 24_576,
+                  "out": 884_736}
+    TIME_SCRATCH = {"('z', 24)": 110_592, "('d_sig', 24)": 82_944,
+                    "('dstep', 24)": 138_240}
+    NOTE_SCRATCH = {"('z', 24)": 98_304, "('d_sig', 24)": 73_728,
+                    "('dstep', 24)": 122_880}
 
     def test_desk_pass_holds_no_spent_copies(self):
-        """A desk-sized training pass (batch 4 x 36 notes x 32 steps,
-        one 24-unit layer per axis, keep_prob 0.75) keeps 16,140,288
-        bytes of workspace. The time stack's masked output lives only in
-        the note scan's input, masks apply to gradients in place, the
-        note scan's input gradient is written over its input, and each
-        scan forms its recurrent product in its gate-major scratch. The
-        note stack's top gradient is written over its masked top output
-        and the time stack's top gradient over the note scan's spent
-        layer-0 gates, so neither d_note_top nor d_time_top has an array
-        of its own."""
+        """The workspace of a desk-sized training pass, array by array.
+        Each layer keeps its gates, c, initial h and one output stream,
+        and no h cache: the backward rebuilds h_prev as o * tanh(c) in
+        its incoming gradient's spent slots. A masked layer writes its
+        masked h to the stream and keeps the unmasked h in one
+        ('h_slot', li) row block. The time stack's masked top output
+        lives only in the note scan's input, and its unmasked top stream
+        in the note scan's layer-0 gates, unused until the note scan
+        starts, so the time top has no ('out', li). The note stack's top
+        gradient is written over its top output and the time stack's top
+        gradient over the time top's stream. With the h cache this pass
+        held 16,140,288 bytes."""
+        self.check_desk_workspace(1, 0.75, 14_395_392)
+
+    def test_two_layer_desk_pass_holds_no_spent_copies(self):
+        """Two layers per axis at keep_prob 1.0, the shape where upper
+        layers' input gradients and the note stack's top gradient had
+        arrays of their own: each layer's input gradient is written over
+        its input, the output stream of the layer below. With those and
+        the h cache this pass held 28,631,040 bytes."""
+        self.check_desk_workspace(2, 1.0, 25_092_096)
+
+    def check_desk_workspace(self, layers, keep_prob, total):
         rng = np.random.default_rng(27)
-        params = model.init_biaxial_params([24], [24], rng)
+        params = model.init_biaxial_params([24] * layers, [24] * layers,
+                                           rng)
         batch = small_batch(rng, b=4, n=36, t=32, note_low=48)
         ws = nn.Workspace()
-        model.loss_gradients(params, batch, 48, rng=rng, keep_prob=0.75,
-                             ws=ws)
-        assert sum(arr.nbytes for arr in ws.arrays()) == 16_140_288
+        model.loss_gradients(params, batch, 48, rng=rng,
+                             keep_prob=keep_prob, ws=ws)
+        want = dict(self.SHARED)
+        for stack, layer, scratch in (
+                ("timewise", self.TIME_LAYER, self.TIME_SCRATCH),
+                ("notewise", self.NOTE_LAYER, self.NOTE_SCRATCH)):
+            for li in range(layers):
+                for name, size in layer.items():
+                    want[f"{stack}/('{name}', {li})"] = size
+                if keep_prob < 1.0 and stack == "notewise":
+                    # the time top scans unmasked; the dropout pin has no
+                    # lower time layer
+                    want[f"{stack}/('h_slot', {li})"] = layer["h0"]
+            want.update({f"{stack}/{key}": size
+                         for key, size in scratch.items()})
+        del want[f"timewise/('out', {layers - 1})"]
+        assert workspace_bytes(ws) == want
+        assert sum(want.values()) == total
+        assert_no_spent_copies(ws)
+
+
+def assert_no_spent_copies(ws):
+    """No h cache and no array for a gradient stream: every one of them
+    takes memory the pass has spent."""
+    keys = list(workspace_bytes(ws))
+    for banned in ("d_note_top", "d_time_top", "('h', ", "('dinput', "):
+        assert not any(banned in key for key in keys), banned
 
 
 class TestParamArrays:

@@ -339,6 +339,11 @@ class TestConfig:
             RunConfig(notewise_hidden=[4, "8"]).validate()
         with pytest.raises(ValueError, match="timewise_hidden"):
             RunConfig(timewise_hidden=[]).validate()
+        # a replay that never holds a full batch would never update
+        with pytest.raises(ValueError, match="rl_batch_size 8 exceeds "
+                                             "replay_capacity 4"):
+            RunConfig(rl_batch_size=8, replay_capacity=4).validate()
+        RunConfig(rl_batch_size=4, replay_capacity=4).validate()
         with pytest.raises(ValueError, match="positive"):
             RunConfig(timewise_hidden=[0]).validate()
         # integers are real numbers
@@ -346,6 +351,18 @@ class TestConfig:
         cfg = RunConfig.from_sources({"double_q": True,
                                       "timewise_hidden": [3, 2]})
         assert cfg.double_q is True and cfg.timewise_hidden == [3, 2]
+
+    @pytest.mark.parametrize("steps", [1, 4, 12, 15, 17, 24, 32])
+    def test_steps_per_measure_must_be_the_beat_period(self, steps):
+        """The beat features count step mod 16 and the tonic windows count
+        sixteenth steps, so any other grid is refused up front, from a
+        config file as from a constructed config."""
+        with pytest.raises(ValueError, match="16-step beat encoding"):
+            RunConfig(steps_per_measure=steps).validate()
+        with pytest.raises(ValueError, match=f"got {steps}:"):
+            RunConfig.from_sources({"steps_per_measure": steps})
+        assert RunConfig(steps_per_measure=16).validate().steps_per_measure \
+            == 16
 
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,
