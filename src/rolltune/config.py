@@ -120,13 +120,15 @@ class RunConfig(TheoryConfig):
 
     @classmethod
     def from_sources(cls, file_mapping=None, overrides=None):
-        """Defaults, then config-file keys, then explicit overrides."""
+        """Defaults, then config-file keys, then explicit overrides. An
+        override of None is a flag not given and is skipped; a None in
+        file_mapping is a value like any other, which validate() refuses."""
         names, values = {f.name for f in dataclasses.fields(cls)}, {}
-        for source in (file_mapping or {}, overrides or {}):
+        for source, skip_none in ((file_mapping or {}, False),
+                                  (overrides or {}, True)):
             for key, val in source.items():
-                if val is None:
-                    continue
                 if key not in names:
                     raise ValueError(f"unknown configuration key {key!r}")
-                values[key] = val
+                if val is not None or not skip_none:
+                    values[key] = val
         return cls(**values).validate()

@@ -178,6 +178,8 @@ def report_from_csv(text: str) -> MetricReport:
         if not line:
             continue
         name, _, raw = line.partition(",")
+        if name in values:
+            raise ValueError(f"report repeats metric {name!r}")
         if name == "song_count":
             values[name] = int(raw)
         else:

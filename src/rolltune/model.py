@@ -124,31 +124,21 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None,
 
     Notes never interact here; permuting them permutes outputs. feats
     laid out time-major in memory, as expand_batch returns them, are
-    scanned in place. The top output, after its dropout mask, is written
-    in one pass into the first H_top columns of the note scan's input
-    array, where notewise_pass on the same workspace finds it; the
-    returned (B, N, T, H_top) array is that view. top, when given, is
-    the (T, B*N, H_top) memory the scan's own top stream, unmasked, is
-    written into (see nn.stack_forward's out).
+    scanned in place. The top stream is copied into the first H_top
+    columns of the note scan's input array, where notewise_pass on the
+    same workspace finds it; the returned (B, N, T, H_top) array is
+    that view. top, when given, is the (T, B*N, H_top) memory the top
+    stream itself is written into (see nn.stack_forward's out).
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, f = feats.shape
     xs = np.ascontiguousarray(
         feats.transpose(2, 0, 1, 3)).reshape(t, b * n, f)
-    top_mask = None if keep_masks is None else keep_masks[-1]
-    below = None if keep_masks is None else [*keep_masks[:-1], None]
-    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=below,
+    stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=keep_masks,
                                          ws=ws.scope("timewise"), out=top)
-    # masked here rather than by the scan, so the cache still carries
-    # the mask stack_backward applies to the top gradient
-    caches[-1].mask = top_mask
     hidden = stream.shape[-1]
     out = _note_inputs(ws, b, n, t, hidden)[1][..., :hidden]
-    by_song = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
-    if top_mask is None:
-        out[...] = by_song
-    else:
-        np.multiply(by_song, top_mask.reshape(b, n, 1, hidden), out=out)
+    out[...] = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
     return out, caches
 
 
@@ -225,9 +215,8 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     stack_forward caches, which backward reads, and its top stream
     (N, B*T, H_top), the top cache's output stream. The scan input,
     each note's time output followed by its feedback pair, is written
-    note-major into one (N, B*T, H+2) array; a
-    timewise_pass output on the same workspace already sits there and is
-    not copied.
+    note-major into one (N, B*T, H+2) array; a timewise_pass output on
+    the same workspace already sits there and is not copied.
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, hidden = timewise_out.shape
@@ -307,8 +296,8 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
 
     Returns (loss value, log-likelihood per step, grads dict keyed like
     param_arrays). Dropout masks, when active, are drawn once here and
-    shared by forward and backward. The passes keep their arrays in the
-    nn.Workspace ws; the gradients are fresh arrays.
+    shared by forward and backward. The passes run on ws (see
+    nn.Workspace).
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = batch.shape
@@ -334,15 +323,13 @@ def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,
 def backward(params: BiaxialParams, caches_t, caches_n,
              dlogits: np.ndarray, ws=None) -> dict:
     """Gradients keyed like param_arrays, given d(logits) (B, N, T, 2)
-    and the caches of a timewise and a notewise pass. The time scan's
-    input is the fixed features, so its gradient is skipped. The caches
-    are spent (see nn.stack_backward), the note scan's input included:
-    the note stack's top gradient is written over its top output stream
-    once the proj/w gradient has read it, and the time stack's top
-    gradient is gathered into the time stack's top output stream, which
-    a training pass places in the note scan's layer-0 gate buffer,
-    spent once the note stack's backward returns. The gradients are
-    fresh arrays."""
+    and the caches of a timewise and a notewise pass, which it spends
+    (see nn.Workspace). The time scan's input is the fixed features, so
+    its gradient is skipped. The note stack's top gradient is written
+    over its top output stream once the proj/w gradient has read it,
+    and the time stack's top gradient is gathered into the time stack's
+    top output stream, which a training pass places in the note scan's
+    layer-0 gate buffer, spent once the note stack's backward returns."""
     ws = nn.Workspace() if ws is None else ws
     b, n, t, _ = dlogits.shape
     dlogits = _to_note_major(dlogits)

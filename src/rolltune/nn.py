@@ -27,26 +27,9 @@ Conventions:
     on contiguous (R, H) slabs. The activated gates are stored back in
     that step's own memory of the layer cache, read as (4, R, H); the
     matrix products keep their row-major (R, 4H) operands,
-  * a Workspace keeps a pass's arrays for the next pass of the same
-    shapes, so a training or Q-update loop stops allocating (and the
-    kernel faulting in) tens of megabytes per iteration. It also keeps
-    each scan's per-step views of those arrays (the step's gate block,
-    its gate-major pre-activations, the i/f/o and g slabs, its c, h and
-    output slots and the scratch slices), built once and rebuilt only
-    when one of the arrays they view is replaced, because at a few rows
-    building them costs as much as the step's arithmetic. Every pass runs on a
-    workspace: a function given ws=... writes its scans, scratch and
-    caches into it, and every such array is valid until the next pass
-    on the same workspace; ws=None means a workspace of the call's own.
-    A scan caches no h: each layer keeps one output stream, its h or,
-    under dropout, its masked h, and the backward rebuilds each h_prev
-    as o * tanh(c) from the tanh its gradient needs. A backward pass
-    spends what it reads: it writes the gate gradients over the cached
-    gates, masks the incoming gradient in place and writes the rebuilt
-    h_prev over its spent slots, and writes each layer's input gradient
-    over that layer's input, the scan input at layer 0 and the output
-    stream of the layer below higher up. Gradient blocks are always
-    fresh arrays.
+  * every pass runs on a Workspace, whose docstring states the one
+    memory contract: what a pass keeps, for how long, and what a
+    backward pass spends.
 """
 
 from __future__ import annotations
@@ -94,22 +77,33 @@ def softmax(x, axis=-1):
 class Workspace:
     """Float64 arrays kept by key, for a run of identically shaped
     passes: each pass writes its arrays over the previous pass's instead
-    of allocating them again. Keys are chosen by the functions that take
-    a ws argument, and such a function given ws=None makes a workspace
-    of its own for the call; scope(name) gives a child workspace, so two
-    stacks scanned with the same code keep apart.
+    of allocating them again, so a training or Q-update loop stops
+    allocating (and the kernel faulting in) tens of megabytes per
+    iteration. This is the package's one memory contract:
 
-    An array a pass returns or caches from its workspace is valid until
-    the next pass on the same workspace, and a backward pass spends the
-    caches, the layers' output streams, the scan input and the incoming
-    gradient it is given (see stack_backward). Gradient blocks are
-    always fresh arrays; a caller that keeps anything else past the
-    next pass copies it.
+      * every pass runs on a workspace. A function given ws=... writes
+        its scans, scratch and caches into it, under keys of its own
+        choosing; given ws=None it makes a workspace for the call.
+        scope(name) gives a child workspace, so two stacks scanned with
+        the same code keep apart,
+      * an array a pass returns or caches from its workspace is valid
+        until the next pass on the same workspace; a caller that keeps
+        one longer copies it. Gradient blocks are always fresh arrays,
+      * a scan caches no h. Each layer keeps its gates, its c, its
+        initial h and one (S, R, H) output stream, which dropout masks
+        in place once the layer's scan ends; the backward rebuilds each
+        h_prev as o * tanh(c),
+      * a backward pass spends what it reads: the caches, the layers'
+        output streams, the scan input and the incoming gradient. Every
+        gradient stream and rebuilt h_prev is written into memory the
+        pass has spent, so none has an array of its own.
 
     views(key, build, *arrays) keeps what build(*arrays) returns, views
     of those arrays, and returns it again while every one of them is
     still the array under its key here: a key whose shape changes gets
-    a new array, and that invalidates the views built over it.
+    a new array, and that invalidates the views built over it. A scan
+    keeps its per-step views so, because at a few rows building them
+    costs as much as the step's arithmetic.
     """
 
     def __init__(self):
@@ -236,8 +230,7 @@ def stack_step(layers, x, states, ws=None):
 
 @dataclass
 class _LayerCache:
-    """What stack_backward reads of one layer's scan. The layer's h is
-    not kept: the backward rebuilds each h_prev as o * tanh(c)."""
+    """What stack_backward reads of one layer's scan (see Workspace)."""
 
     inputs: np.ndarray      # (S, R, D) stream entering the layer
     gates: np.ndarray       # (S, R, 4H) memory; step s holds its activated
@@ -257,9 +250,8 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None,
     list of (h, c) pairs of shape (R, H), is copied into each layer's
     cached initial h and the first slot of its cached c (zeros without
     it) and never written. Returns the top stream (S, R, H_top), a
-    cache for stack_backward, and the final (h, c) list, views of the
-    last step's h and c. Every array of the scan is ws's, and so are
-    the per-step views of them (see Workspace), except that out, when
+    cache for stack_backward, and the final (h, c) list, the last
+    step's. Every array of the scan is ws's, except that out, when
     given, takes the top layer's output stream.
 
     Inputs are projected in one matrix product per layer into a
@@ -272,10 +264,9 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None,
     the cache keeps. Then c = f * c_prev + i * g is written straight
     into the cached c, after the initial state's slot, and h = o *
     tanh(c) into the layer's output stream. That elementwise part is
-    _cell_update, which StackStepper shares. A masked layer writes h
-    into one (R, H) slot instead, where the next step reads it, and
-    h * mask into its output stream, so each layer keeps one (S, R, H)
-    stream whether masked or not.
+    _cell_update, which StackStepper shares. A layer given a mask
+    multiplies its whole stream by it once the step loop ends; its
+    final h is copied first, so it stays the unmasked recurrent state.
     """
     ws = Workspace() if ws is None else ws
     s_len, rows, _ = xs.shape
@@ -296,18 +287,18 @@ def stack_forward(layers, xs, init_states=None, keep_masks=None, ws=None,
             h0[...], c_all[0] = init_states[li]
         out_li = (out if out is not None and li == len(layers) - 1
                   else ws.empty(("out", li), (s_len, rows, hs)))
-        mask = None if keep_masks is None else keep_masks[li]
-        slot = None if mask is None else ws.empty(("h_slot", li), (rows, hs))
         h, c = h0, c_all[0]
         z = ws.empty(("z", hs), (4, rows, hs))
         rec = z.reshape(rows, 4 * hs)
         wh_t = _recurrent_operand(wh, rows)
-        for gate_s, cell, out_s in ws.views(("steps", li), _scan_views,
-                                            gates, c_all, out_li, z, slot):
+        for gate_s, cell in ws.views(("steps", li), _scan_views,
+                                     gates, c_all, out_li, z):
             gate_s += np.matmul(h, wh_t, rec)
             c, h = _cell_update(cell, c)
-            if mask is not None:
-                np.multiply(h, mask, out_s)
+        mask = None if keep_masks is None else keep_masks[li]
+        if mask is not None:
+            h = h.copy()
+            out_li *= mask
         caches.append(_LayerCache(stream, gates, c_all, h0, out_li, mask))
         finals.append((h, c))
         stream = out_li
@@ -322,12 +313,10 @@ def _recurrent_operand(wh, rows):
     return wh.T if rows == 1 else np.ascontiguousarray(wh.T)
 
 
-def _scan_views(gates, c_all, out, z, slot):
-    """Per step s of a scan over these buffers: its (R, 4H) gate block,
-    the _cell_update views that read its pre-activations and write its
-    activated gates, c_all[s + 1] and its h, and out[s]. The h is
-    out[s] itself, or the (R, H) slot when one is given (a masked
-    layer, which writes h * mask into out[s])."""
+def _scan_views(gates, c_all, out, z):
+    """Per step s of a scan over these buffers: its (R, 4H) gate block
+    and the _cell_update views that read its pre-activations and write
+    its activated gates, c_all[s + 1] and its h, out[s]."""
     s_len, rows, four_h = gates.shape
     hs = four_h // 4
     # the same memory twice: step s's pre-activations seen gate-major,
@@ -335,10 +324,9 @@ def _scan_views(gates, c_all, out, z, slot):
     pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
     acts = gates.reshape(s_len, 4, rows, hs)
     scratch = _scratch_views(z)
-    h_outs = out if slot is None else [slot] * s_len
-    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out), out_s)
-            for gate_s, pre_s, act, c_out, h_out, out_s in zip(
-                gates, pre, acts, c_all[1:], h_outs, out)]
+    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out))
+            for gate_s, pre_s, act, c_out, h_out in zip(
+                gates, pre, acts, c_all[1:], out)]
 
 
 def _scratch_views(z):
@@ -429,16 +417,13 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     GATE_FIELDS and holds row-block views of one packed gradient block,
     which is always a fresh array.
 
-    The pass spends its operands: each dropout mask is applied to the
-    incoming gradient in place, each step's gate gradient is written
-    over the cached gates it has just consumed, and each h_prev, rebuilt
-    as o * tanh(c), over a slot of the incoming gradient that step has
-    already read, so dstream is spent and ends up holding the layer's
-    h_prev stream, which the weight gradient then reads. Once that
-    product has read the layer's input, the input's gradient is written
-    over it: over the scan input xs at layer 0, so xs is spent too, and
-    over the output stream of the layer below higher up, which becomes
-    that layer's incoming gradient. The scratch is ws's.
+    The pass spends its operands (see Workspace). Each dropout mask is
+    applied to the incoming gradient in place, and _gate_gradients
+    leaves the layer's h_prev stream there, which the weight gradient
+    then reads. Once that product has read the layer's input, the
+    input's gradient is written over it: over the scan input xs at
+    layer 0, and over the output stream of the layer below higher up,
+    which becomes that layer's incoming gradient.
     """
     ws = Workspace() if ws is None else ws
     grads_out = [None] * len(layers)
@@ -473,9 +458,9 @@ def _gate_gradients(cache, wh, dstream, ws):
     * tanh(c) is the forward's, so the rebuilt h equals it bit for bit.
 
     Each step reads the cached gates as contiguous (4, R, H) slabs and
-    builds its gradient gate-major in ws's (4, R, H) scratch, then
-    copies it row-major into place. Every product is formed in place in
-    ws's scratch, and equals the plain expression in the comment above
+    builds its gradient gate-major in a (4, R, H) scratch, then copies
+    it row-major into place. Every product is formed in place in the
+    scratch, and equals the plain expression in the comment above
     it bit for bit (float products and sums do not depend on operand order,
     and adding the scalar 0.0 carry of the last step equals adding a
     zero array).

@@ -188,12 +188,11 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
 
     Returns (scores (B, 38), advanced cells per layer as (B*N, hidden)
     arrays, cache for trunk_scores_backward). The stored cells are
-    inputs here, never differentiated through. The passes keep their
-    arrays in the nn.Workspace ws, the advanced cells included; the
-    scores are fresh. The time stack's top stream, which the top cells
-    view, keeps an array of its own rather than a training pass's place
-    in the note scan's gates, so the cells outlive the note scan;
-    trunk_scores_backward spends it with the rest of the cache.
+    inputs here, never differentiated through. The passes run on ws
+    (see nn.Workspace), and the advanced cells are among its arrays.
+    The time stack's top stream, which the top cells view, keeps an
+    array of its own rather than a training pass's place in the note
+    scan's gates, so the cells outlive the note scan.
     """
     ws = nn.Workspace() if ws is None else ws
     b, n = snapshot.col.shape[:2]

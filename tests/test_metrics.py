@@ -220,6 +220,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="mismatch"):
             report_from_csv(clipped)
 
+    def test_repeated_metric_is_rejected(self):
+        """A second row for a metric is refused, not read as its later
+        value."""
+        text = report_to_csv(evaluate([[14, 16, 18]], CFG))
+        with pytest.raises(ValueError, match="repeats metric "
+                                             "'notes_repeated_pct'"):
+            report_from_csv(text + "notes_repeated_pct,55.0\n")
+
     def test_table_lists_every_metric(self):
         report = evaluate(random_melodies(seed=8, count=3), CFG)
         table = report_table(report)

@@ -352,6 +352,22 @@ class TestConfig:
                                       "timewise_hidden": [3, 2]})
         assert cfg.double_q is True and cfg.timewise_hidden == [3, 2]
 
+    def test_from_sources_skips_none_only_among_overrides(self):
+        """An override of None is a flag not given. A null in the file
+        mapping (a --config file or a checkpoint's snapshot) is refused
+        like any other bad value, and an unknown key whatever its
+        value."""
+        assert RunConfig.from_sources({"seed": 3}, {"seed": None}).seed == 3
+        with pytest.raises(ValueError, match="seed must be an integer, "
+                                             "got None"):
+            RunConfig.from_sources({"seed": None})
+        with pytest.raises(ValueError, match="unknown configuration key "
+                                             "'bogus_key'"):
+            RunConfig.from_sources({"seed": None, "bogus_key": None})
+        with pytest.raises(ValueError, match="unknown configuration key "
+                                             "'bogus_flag'"):
+            RunConfig.from_sources({}, {"bogus_flag": None})
+
     @pytest.mark.parametrize("steps", [1, 4, 12, 15, 17, 24, 32])
     def test_steps_per_measure_must_be_the_beat_period(self, steps):
         """The beat features count step mod 16 and the tonic windows count
