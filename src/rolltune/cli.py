@@ -4,7 +4,7 @@ Configuration precedence everywhere: command-line flag, then JSON config
 file (--config), then the config snapshot stored in the input checkpoint
 (when a command reads one), then built-in defaults. Checkpoints carry
 their full RunConfig, so a generate or tune run inherits the note range
-and grid the model was trained with unless explicitly overridden.
+the model was trained with unless explicitly overridden.
 
 Exit status is 0 only when every requested artifact was fully written;
 any error prints a message to stderr and exits nonzero. Artifacts are
@@ -22,9 +22,12 @@ import numpy as np
 
 from . import checkpoint, metrics, midiio, model, tuner
 from .config import RunConfig
+from .features import BEAT_PERIOD
 
 KIND_BIAXIAL = "biaxial"
 KIND_QNET = "qnet"
+# fields older config snapshots hold and RunConfig no longer has
+RETIRED_CONFIG_KEYS = ("teacher_forcing", "steps_per_measure")
 
 
 def _csv_cell(value):
@@ -72,7 +75,7 @@ def load_corpus(data_dir, cfg):
                 data = fh.read(midiio.MAX_MIDI_BYTES + 1)
             song = midiio.parse_midi(data)
             corpus.append(midiio.quantize(song, cfg.note_low, cfg.n_notes,
-                                          cfg.steps_per_measure))
+                                          BEAT_PERIOD))
         except (midiio.MidiParseError, ValueError) as exc:
             warnings.warn(f"skipping {path.name}: {exc}")
     if not corpus:
@@ -96,7 +99,8 @@ def read_model_checkpoint(args, kinds, **flag_overrides):
                          f"this command reads {' or '.join(kinds)}")
     base = meta.get("config")
     base = dict(base) if isinstance(base, dict) else {}
-    base.pop("teacher_forcing", None)   # retired; older snapshots hold it
+    for key in RETIRED_CONFIG_KEYS:
+        base.pop(key, None)
     return kind, arrays, resolve_config(args, base, **flag_overrides)
 
 

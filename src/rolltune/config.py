@@ -12,7 +12,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
-from .features import BEAT_PERIOD
+from .midiio import MAX_TEMPO_US
 from .theory import TheoryConfig
 
 
@@ -22,10 +22,9 @@ class RunConfig(TheoryConfig):
     seed: int = 0
     tempo_bpm: float = 120.0
 
-    # piano-roll grid
+    # piano-roll register; the grid is features.BEAT_PERIOD steps a bar
     note_low: int = 21
     n_notes: int = 88
-    steps_per_measure: int = 16
 
     # model shape and training
     timewise_hidden: list = field(default_factory=lambda: [64, 64])
@@ -63,13 +62,6 @@ class RunConfig(TheoryConfig):
         if self.n_notes < 1 or self.note_low < 0 \
                 or self.note_low + self.n_notes > 128:
             raise ValueError("note range must fit inside MIDI 0..127")
-        if self.steps_per_measure != BEAT_PERIOD:
-            raise ValueError(
-                f"steps_per_measure must be {BEAT_PERIOD}, got "
-                f"{self.steps_per_measure}: the beat features use the "
-                f"{BEAT_PERIOD}-step beat encoding (step mod {BEAT_PERIOD}),"
-                " and measure-aligned segments and generate's opening "
-                "step match its beat bits only on that grid")
         for name in ("timewise_hidden", "notewise_hidden"):
             sizes = getattr(self, name)
             if not isinstance(sizes, list) or not sizes:
@@ -87,6 +79,12 @@ class RunConfig(TheoryConfig):
             raise ValueError("batch sizes must be positive")
         if self.iterations < 0 or self.rl_iterations < 0:
             raise ValueError("iteration counts cannot be negative")
+        # eps 0 divides 0 by 0 where a gradient entry is 0, and a rho
+        # outside [0, 1] can turn a running average, then its root, NaN
+        if not 0.0 <= self.adadelta_rho <= 1.0:
+            raise ValueError("adadelta_rho must lie in [0, 1]")
+        if self.adadelta_eps <= 0.0:
+            raise ValueError("adadelta_eps must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.eta <= 1.0:
@@ -107,8 +105,11 @@ class RunConfig(TheoryConfig):
                 f"rl_batch_size {self.rl_batch_size} exceeds "
                 f"replay_capacity {self.replay_capacity}: the replay "
                 "never holds a full batch, so tune would take no Q-update")
-        if self.tempo_bpm <= 0:
-            raise ValueError("tempo must be positive")
+        # to_midi rounds the beat in microseconds half up
+        if self.tempo_bpm <= 0 \
+                or 60_000_000.0 / self.tempo_bpm >= MAX_TEMPO_US + 0.5:
+            raise ValueError(f"tempo_bpm must be positive, with a beat no "
+                             f"longer than a MIDI tempo's {MAX_TEMPO_US} us")
         if self.eval_songs < 1 or self.gen_steps < 1:
             raise ValueError("gen_steps and eval_songs must be positive")
         if self.sampling not in ("greedy", "boltzmann"):

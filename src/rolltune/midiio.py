@@ -38,6 +38,9 @@ MELODY_ACTIONS = 38
 
 DEFAULT_DIVISION = 480
 DEFAULT_TEMPO_BPM = 120.0
+# Largest tempo, in microseconds per quarter note, that a tempo event's
+# 3-byte field holds: about 3.58 bpm.
+MAX_TEMPO_US = 0xFFFFFF
 
 # Longest grid quantize builds: about nine hours of sixteenth notes at
 # 120 bpm. A single 4-byte delta at division 1 would otherwise ask for
@@ -348,7 +351,7 @@ def serialize_midi(song: MidiSong) -> bytes:
                              pitch, velocity))
             elif kind == TEMPO:
                 tempo_us = int(ev.tempo_us)
-                _check_field(t, i, "tempo_us", tempo_us, 0xFFFFFF)
+                _check_field(t, i, "tempo_us", tempo_us, MAX_TEMPO_US)
                 body += b"\xff\x51\x03"
                 body += tempo_us.to_bytes(3, "big")
             elif kind == END_OF_TRACK:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .features import FEATURE_WIDTH, expand_batch, expand_columns
+from .features import (BEAT_PERIOD, FEATURE_WIDTH, expand_batch,
+                       expand_columns)
 from .midiio import NoteStateMatrix
 
 
@@ -354,14 +355,15 @@ def backward(params: BiaxialParams, caches_t, caches_n,
     return grads
 
 
-def sample_segments(corpus, segment_len, batch_size, steps_per_measure, rng):
+def sample_segments(corpus, segment_len, batch_size, rng):
     """Stack a batch of equally long segments, starts snapped to measure
-    boundaries so the beat features stay truthful."""
+    boundaries (every BEAT_PERIOD steps) so the beat features stay
+    truthful."""
     batch = np.zeros((batch_size, corpus[0].n_notes, segment_len, 2))
     for k in range(batch_size):
         song = corpus[int(rng.integers(len(corpus)))]
-        slots = (song.n_steps - segment_len) // steps_per_measure + 1
-        start = steps_per_measure * int(rng.integers(slots))
+        slots = (song.n_steps - segment_len) // BEAT_PERIOD + 1
+        start = BEAT_PERIOD * int(rng.integers(slots))
         batch[k] = song.data[:, start:start + segment_len]
     return batch
 
@@ -397,8 +399,7 @@ def train(corpus, cfg, rng):
     ws = nn.Workspace()
     history = []
     for it in range(cfg.iterations):
-        batch = sample_segments(usable, cfg.segment_len, cfg.batch_size,
-                                cfg.steps_per_measure, rng)
+        batch = sample_segments(usable, cfg.segment_len, cfg.batch_size, rng)
         value, loglik, grads = loss_gradients(
             params, batch, cfg.note_low, rng=rng, keep_prob=cfg.keep_prob,
             ws=ws)
@@ -435,4 +436,4 @@ def generate(params: BiaxialParams, cfg, steps: int, rng) -> NoteStateMatrix:
         col = _sample_note_scan(params, xs, rng, stepper,
                                 col[:, :1] > 0)[:, 0].astype(np.uint8)
         out[:, j] = col
-    return NoteStateMatrix(out, cfg.note_low, cfg.steps_per_measure)
+    return NoteStateMatrix(out, cfg.note_low, BEAT_PERIOD)

@@ -6,11 +6,11 @@ input projection per layer and one sigmoid call per step, stack_backward
 backpropagates through that scan, and stack_step is the scan at length
 1. StackStepper steps a stack, without dropout, through a scan whose
 inputs are known only one step at a time (each note of a generated
-column), in buffers allocated once and reset between scans; its
-elementwise update is _cell_update, the same one stack_forward's step
-loop calls. Adadelta and the finite-difference checker are written out
-explicitly so that every gradient the package relies on can be
-verified against an independent numerical oracle.
+column), on a length-1 scan's buffers and views, allocated once and
+reset between scans; its elementwise update is _cell_update, the same
+one stack_forward's step loop calls. Adadelta and the finite-difference
+checker are written out explicitly so that every gradient the package
+relies on can be verified against an independent numerical oracle.
 
 Conventions:
   * a "stack" is a list of LstmCellParams applied bottom to top,
@@ -315,42 +315,28 @@ def _recurrent_operand(wh, rows):
 
 def _scan_views(gates, c_all, out, z):
     """Per step s of a scan over these buffers: its (R, 4H) gate block
-    and the _cell_update views that read its pre-activations and write
-    its activated gates, c_all[s + 1] and its h, out[s]."""
+    and the views _cell_update works on: that block read gate-major as
+    (4, R, H), the scratch z with its i/f/o and g slices, the block
+    reinterpreted as (4, R, H) to hold the activated gates, with their
+    i/f/o slice and each gate, and the outputs c_all[s + 1] and out[s]."""
     s_len, rows, four_h = gates.shape
     hs = four_h // 4
-    # the same memory twice: step s's pre-activations seen gate-major,
-    # and its block reinterpreted as (4, R, H) to hold the activations
     pre = gates.reshape(s_len, rows, 4, hs).transpose(0, 2, 1, 3)
     acts = gates.reshape(s_len, 4, rows, hs)
-    scratch = _scratch_views(z)
-    return [(gate_s, _cell_views(pre_s, act, scratch, c_out, h_out))
+    scratch = z, z[:3], z[3]
+    return [(gate_s, (pre_s, *scratch, act[:3], *act, c_out, h_out))
             for gate_s, pre_s, act, c_out, h_out in zip(
                 gates, pre, acts, c_all[1:], out)]
 
 
-def _scratch_views(z):
-    """The (4, R, H) scratch z with its i/f/o and g slices."""
-    return z, z[:3], z[3]
-
-
-def _cell_views(pre, act, scratch, c_out, h_out):
-    """The views one _cell_update reads and writes: the step's (R, 4H)
-    pre-activation block read gate-major as (4, R, H), the scratch
-    views, the activated gates act (4, R, H) with their i/f/o and g
-    slices, and the c and h outputs."""
-    i, f, o, g = act
-    return (pre, *scratch, act[:3], i, f, o, g, c_out, h_out)
-
-
 def _cell_update(cell, c_prev):
     """One step's elementwise LSTM update, the one stack_forward and
-    StackStepper share, over the views _cell_views built. The
+    StackStepper share, over the views _scan_views built. The
     pre-activations are copied into the scratch z. One sigmoid call
     writes i, f and o and one tanh the candidate g into the activated
-    gates. Then c = f * c_prev + i * g goes into the c output and
-    h = o * tanh(c) into the h output, which may be c_prev's own memory
-    and the spent h_prev's. Returns (c, h)."""
+    gates. Then c = f * c_prev + i * g goes into the c output, which may
+    be c_prev's own memory, and h = o * tanh(c) into the h output, which
+    may be the spent h_prev's. Returns (c, h)."""
     pre, z, z_ifo, z_g, ifo, i, f, o, g, c, h = cell
     z[...] = pre
     sigmoid(z_ifo, ifo)
@@ -364,10 +350,11 @@ def _cell_update(cell, c_prev):
 
 class StackStepper:
     """Advance a stack one step at a time through one scan, from a zero
-    state, in memory allocated once: each layer's (R, 4H) gate block,
-    its (4, R, H) scratch, which also takes the recurrent product, and
-    its h and c rows, with the views _cell_update works on built over
-    them once too.
+    state, in memory allocated once: each layer keeps the buffers of a
+    length-1 scan (gates (1, R, 4H), c (2, R, H), out (1, R, H) and the
+    (4, R, H) scratch, which also takes the recurrent product) and the
+    one step's views _scan_views builds over them. A step writes its c
+    over c[1] and its h over out[0], which hold the layer's state.
     reset() returns it to the zero state, so one stepper serves every
     scan while the weights stay unchanged.
 
@@ -378,22 +365,20 @@ class StackStepper:
     """
 
     def __init__(self, layers, rows):
-        self._layers, self._states = [], []
+        self._layers = []
         for layer in layers:
             hs = layer.hidden_size
             wx, wh, b = layer.packed()
-            block, z = np.empty((rows, 4 * hs)), np.empty((4, rows, hs))
-            h, c = np.zeros((rows, hs)), np.zeros((rows, hs))
-            self._states.append((h, c))
-            cell = _cell_views(block.reshape(rows, 4, hs).transpose(1, 0, 2),
-                               block.reshape(4, rows, hs),
-                               _scratch_views(z), c, h)
+            gates, z = np.empty((1, rows, 4 * hs)), np.empty((4, rows, hs))
+            c_all, out = np.zeros((2, rows, hs)), np.zeros((1, rows, hs))
+            [(block, cell)] = _scan_views(gates, c_all, out, z)
             self._layers.append((wx.T, _recurrent_operand(wh, rows), b,
-                                 block, z.reshape(rows, 4 * hs), cell, h, c))
+                                 block, z.reshape(rows, 4 * hs), cell,
+                                 out[0], c_all[1]))
 
     def reset(self):
         """Zero every layer's h and c, as a new stepper starts."""
-        for h, c in self._states:
+        for *_, h, c in self._layers:
             h.fill(0.0)
             c.fill(0.0)
 

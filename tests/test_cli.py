@@ -419,19 +419,47 @@ class TestParserPlumbing:
         assert rc != 0
         assert "gamma" in capsys.readouterr().err
 
+    def test_tempo_the_midi_writer_cannot_store_is_refused_up_front(
+            self, trained_ckpt, capsys, tmp_path, monkeypatch):
+        """A tempo whose beat overflows the 3-byte tempo field is refused
+        by name before generate samples a column."""
+        bad_cfg = tmp_path / "slow.json"
+        bad_cfg.write_text(json.dumps({"tempo_bpm": 3.0}))
+        monkeypatch.setattr(model, "generate", None)   # never reached
+        out = tmp_path / "out.mid"
+        rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
+                       "--config", str(bad_cfg), "--out", str(out)])
+        assert rc == 1
+        assert "tempo_bpm must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (key, value) pairs older checkpoints hold, every retired field among
+# them; the teacher_forcing cases keep the ids they had as the only ones
+RETIRED = [pytest.param("teacher_forcing", True, id="True"),
+           pytest.param("teacher_forcing", False, id="False"),
+           pytest.param("steps_per_measure", 16, id="steps_per_measure")]
+
 
 class TestRetiredConfigKey:
     """Checkpoints written while training still had a sampling mode
-    record "teacher_forcing" in their config snapshot. The commands that
-    read a checkpoint drop it; a config file that names it is refused."""
+    record "teacher_forcing" in their config snapshot, and those written
+    while the grid was a setting record "steps_per_measure". The commands
+    that read a checkpoint drop both; a config file naming one is
+    refused."""
 
-    @pytest.mark.parametrize("value", [True, False])
+    def test_every_retired_key_is_covered(self):
+        assert sorted({p.values[0] for p in RETIRED}) \
+            == sorted(cli.RETIRED_CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key, value", RETIRED)
     def test_old_checkpoint_runs_generate_tune_and_eval(
-            self, workdir, trained_ckpt, tmp_path, value):
+            self, workdir, trained_ckpt, tmp_path, key, value):
         arrays, meta = checkpoint.read_checkpoint(trained_ckpt)
+        assert key not in meta["config"]
         old = tmp_path / "old.ckpt"
         checkpoint.write_checkpoint(old, arrays, dict(
-            meta, config=dict(meta["config"], teacher_forcing=value)))
+            meta, config=dict(meta["config"], **{key: value})))
         for ckpt, name in ((trained_ckpt, "new.mid"), (old, "old.mid")):
             rc = cli.main(["generate", "--ckpt", str(ckpt), "--seed", "4",
                            "--out", str(tmp_path / name)])
@@ -441,8 +469,7 @@ class TestRetiredConfigKey:
         tuned = tmp_path / "tuned.ckpt"
         rc = cli.main(["tune", "--ckpt", str(old), "--out", str(tuned)])
         assert rc == 0
-        assert "teacher_forcing" not in checkpoint.read_checkpoint(
-            tuned)[1]["config"]
+        assert key not in checkpoint.read_checkpoint(tuned)[1]["config"]
         for ckpt in (old, tuned):
             rc = cli.main(["eval", "--ckpt", str(ckpt),
                            "--out", str(tmp_path / f"{ckpt.stem}.csv")])
@@ -450,12 +477,14 @@ class TestRetiredConfigKey:
 
     def test_config_file_naming_it_is_refused(self, trained_ckpt, tmp_path,
                                               capsys):
-        cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps(dict(TINY_CONFIG, teacher_forcing=True)))
-        out = tmp_path / "out.mid"
-        rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
-                       "--config", str(cfg), "--out", str(out)])
-        assert rc == 1
-        assert ("unknown configuration key 'teacher_forcing'"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        for p in RETIRED[1:]:
+            key, value = p.values
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps(dict(TINY_CONFIG, **{key: value})))
+            out = tmp_path / "out.mid"
+            rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
+                           "--config", str(cfg), "--out", str(out)])
+            assert rc == 1
+            assert (f"unknown configuration key '{key}'"
+                    in capsys.readouterr().err)
+            assert not out.exists()

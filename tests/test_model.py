@@ -432,7 +432,7 @@ class TestSegments:
     def test_segments_are_measure_aligned_slices(self):
         rng = np.random.default_rng(21)
         song = random_matrix(rng, n_notes=5, n_steps=64, note_low=60)
-        batch = model.sample_segments([song], 16, 12, 16, rng)
+        batch = model.sample_segments([song], 16, 12, rng)
         starts = set()
         for row in batch:
             found = [s for s in range(0, 49, 16)
@@ -479,6 +479,21 @@ class TestTrain:
         a1, a2 = model.param_arrays(p1), model.param_arrays(p2)
         for name in a1:
             np.testing.assert_array_equal(a1[name], a2[name])
+
+    @pytest.mark.parametrize("rho, eps", [(0.0, 1e-6), (1.0, 1e-6),
+                                          (0.95, 1e-300)])
+    def test_adadelta_settings_validate_accepts_keep_weights_finite(
+            self, rho, eps):
+        """At the edges of what validate() accepts, every weight stays
+        finite, including those whose gradient entries are 0 (eps 0
+        divided 0 by 0 there, and a rho outside [0, 1] could take a
+        square root of a negative average)."""
+        cfg = self.make_cfg(iterations=20, adadelta_rho=rho,
+                            adadelta_eps=eps).validate()
+        params, _ = model.train([self.alternating_song()], cfg,
+                                np.random.default_rng(3))
+        for name, arr in model.param_arrays(params).items():
+            assert np.all(np.isfinite(arr)), name
 
     def test_short_songs_are_skipped_with_a_warning(self):
         cfg = self.make_cfg(iterations=2)

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rolltune import theory
+from rolltune import midiio, theory
 from rolltune.config import RunConfig
 from rolltune.theory import RewardBreakdown, TheoryConfig, theory_reward
 
@@ -344,6 +344,17 @@ class TestConfig:
                                              "replay_capacity 4"):
             RunConfig(rl_batch_size=8, replay_capacity=4).validate()
         RunConfig(rl_batch_size=4, replay_capacity=4).validate()
+        # Adadelta settings that would put NaN into the weights
+        with pytest.raises(ValueError, match="adadelta_eps must be positive"):
+            RunConfig(adadelta_eps=0.0).validate()
+        with pytest.raises(ValueError, match="adadelta_eps"):
+            RunConfig(adadelta_eps=-1e-6).validate()
+        for rho in (1.5, -0.5):
+            with pytest.raises(ValueError, match="adadelta_rho must lie in "
+                                                 r"\[0, 1\]"):
+                RunConfig(adadelta_rho=rho).validate()
+        RunConfig(adadelta_rho=0.0).validate()
+        RunConfig(adadelta_rho=1.0, adadelta_eps=1e-12).validate()
         with pytest.raises(ValueError, match="positive"):
             RunConfig(timewise_hidden=[0]).validate()
         # integers are real numbers
@@ -368,17 +379,30 @@ class TestConfig:
                                              "'bogus_flag'"):
             RunConfig.from_sources({}, {"bogus_flag": None})
 
-    @pytest.mark.parametrize("steps", [1, 4, 12, 15, 17, 24, 32])
-    def test_steps_per_measure_must_be_the_beat_period(self, steps):
-        """The beat features count step mod 16 and the tonic windows count
-        sixteenth steps, so any other grid is refused up front, from a
-        config file as from a constructed config."""
-        with pytest.raises(ValueError, match="16-step beat encoding"):
-            RunConfig(steps_per_measure=steps).validate()
-        with pytest.raises(ValueError, match=f"got {steps}:"):
-            RunConfig.from_sources({"steps_per_measure": steps})
-        assert RunConfig(steps_per_measure=16).validate().steps_per_measure \
-            == 16
+    def test_the_grid_is_not_a_setting(self):
+        """The grid is features.BEAT_PERIOD, which the beat features
+        encode, so a config naming the retired key is refused whatever
+        its value, 16 included."""
+        with pytest.raises(ValueError, match="unknown configuration key "
+                                             "'steps_per_measure'"):
+            RunConfig.from_sources({"steps_per_measure": 16})
+
+    def test_tempo_must_fit_a_midi_tempo_event(self):
+        """The slowest tempo validate() accepts renders and serializes;
+        one a hair slower, whose beat overflows the 3-byte tempo field,
+        is refused up front and the message names the setting."""
+        roll = midiio.NoteStateMatrix(np.zeros((2, 4, 2), np.uint8), 60)
+        edge = 60_000_000.0 / (midiio.MAX_TEMPO_US + 0.5)
+        slowest = float(np.nextafter(edge, np.inf))
+        RunConfig(tempo_bpm=slowest).validate()
+        midiio.serialize_midi(midiio.to_midi(roll, slowest))
+        for bpm in (float(np.nextafter(edge, 0.0)), 3.0):
+            with pytest.raises(ValueError, match="tempo_us"):
+                midiio.serialize_midi(midiio.to_midi(roll, bpm))
+        for bpm in (float(np.nextafter(edge, 0.0)), 3.0, 1e-310, 0.0):
+            with pytest.raises(ValueError, match="tempo_bpm must be "
+                                                 "positive, with a beat"):
+                RunConfig(tempo_bpm=bpm).validate()
 
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,
