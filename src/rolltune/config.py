@@ -12,7 +12,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
-from .midiio import MAX_TEMPO_US
+from .midiio import tempo_us_of
 from .theory import TheoryConfig
 
 
@@ -105,11 +105,7 @@ class RunConfig(TheoryConfig):
                 f"rl_batch_size {self.rl_batch_size} exceeds "
                 f"replay_capacity {self.replay_capacity}: the replay "
                 "never holds a full batch, so tune would take no Q-update")
-        # to_midi rounds the beat in microseconds half up
-        if self.tempo_bpm <= 0 \
-                or 60_000_000.0 / self.tempo_bpm >= MAX_TEMPO_US + 0.5:
-            raise ValueError(f"tempo_bpm must be positive, with a beat no "
-                             f"longer than a MIDI tempo's {MAX_TEMPO_US} us")
+        tempo_us_of(self.tempo_bpm)     # the tempo to_midi will write
         if self.eval_songs < 1 or self.gen_steps < 1:
             raise ValueError("gen_steps and eval_songs must be positive")
         if self.sampling not in ("greedy", "boltzmann"):

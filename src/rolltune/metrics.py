@@ -69,9 +69,12 @@ def song_metrics(actions, config: TheoryConfig) -> dict:
     Percentages are 0 when their denominator is empty: a melody with no
     onsets repeats nothing, and one with no (followed) leaps resolves
     nothing. Boolean rows (tonic start, unique extremes) come back as
-    0.0 or 100.0 so the aggregate mean is a percentage of songs.
+    0.0 or 100.0 so the aggregate mean is a percentage of songs. An
+    action outside [0, MELODY_ACTIONS) raises ValueError.
     """
     actions = list(actions)
+    for action in actions:
+        theory.check_action(action)
     pitches = theory.onset_pitches(actions)
     out = {}
 

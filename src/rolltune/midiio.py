@@ -368,6 +368,18 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def tempo_us_of(tempo_bpm: float) -> int:
+    """Microseconds per quarter note at tempo_bpm, rounded half up, as
+    to_midi writes them; ValueError (NaN included) unless they land in
+    the tempo field's 1..MAX_TEMPO_US."""
+    beat = 60_000_000.0 / tempo_bpm if tempo_bpm > 0 else math.nan
+    if not 1.0 <= beat + 0.5 < MAX_TEMPO_US + 1:
+        raise ValueError(f"tempo_bpm must be positive, with a beat that "
+                         f"rounds to a tempo_us in 1..{MAX_TEMPO_US}; "
+                         f"got {tempo_bpm!r}")
+    return _round_half_up(beat)
+
+
 def quantize(song: MidiSong, note_low: int, n_notes: int,
              steps_per_measure: int = 16) -> NoteStateMatrix:
     """Snap a song to a fixed step grid (sixteenth notes at the default
@@ -379,8 +391,8 @@ def quantize(song: MidiSong, note_low: int, n_notes: int,
     Tempo changes do not affect the tick grid. A song longer than
     MAX_STEPS steps raises ValueError before the roll is allocated.
     """
-    if steps_per_measure < 1:
-        raise ValueError("steps_per_measure must be positive")
+    if steps_per_measure < 1 or song.ticks_per_quarter < 1:
+        raise ValueError("steps_per_measure, ticks_per_quarter must be > 0")
     step_ticks = song.ticks_per_quarter * 4.0 / steps_per_measure
     notes = []          # flat (pitch, start tick, end tick) triples
     max_tick = 0
@@ -435,11 +447,11 @@ def to_midi(matrix: NoteStateMatrix,
     Each step spans one grid unit (a sixteenth note at 16 steps per
     measure). At a shared tick, note-offs precede note-ons so re-struck
     pitches survive a round trip; end-of-track lands at the end of the
-    final step so trailing silence is preserved.
+    final step so trailing silence is preserved. The tempo must pass
+    tempo_us_of.
     """
     matrix.validate()
-    if tempo_bpm <= 0:
-        raise ValueError("tempo must be positive")
+    tempo_us = tempo_us_of(tempo_bpm)
     step_ticks = DEFAULT_DIVISION * 4.0 / matrix.steps_per_measure
     n_notes, n_steps = matrix.n_notes, matrix.n_steps
     width = n_steps + 1
@@ -462,7 +474,6 @@ def to_midi(matrix: NoteStateMatrix,
     ticks = ticks[by_time]
     onsets = onsets[by_time].tolist()
 
-    tempo_us = _round_half_up(60_000_000.0 / tempo_bpm)
     track = [MidiEvent(0, TEMPO, tempo_us=tempo_us)]
     track += map(MidiEvent, np.diff(ticks, prepend=0).tolist(),
                  map((NOTE_OFF, NOTE_ON).__getitem__, onsets),

@@ -82,39 +82,51 @@ def init_biaxial_params(timewise_hidden, notewise_hidden,
 
 
 def param_arrays(params: BiaxialParams) -> dict:
-    """Stable name -> array view of every trainable tensor."""
+    """Stable name -> array view of every trainable tensor: each cell's
+    packed <stack>/<i>/w and <stack>/<i>/b, then proj/w and proj/b."""
     out = {}
     for stack_name, stack in (("timewise", params.timewise),
                               ("notewise", params.notewise)):
         for i, layer in enumerate(stack):
-            out.update(layer.named_arrays(f"{stack_name}/{i}/"))
+            out[f"{stack_name}/{i}/w"] = layer.w
+            out[f"{stack_name}/{i}/b"] = layer.b
     out["proj/w"] = params.proj_w
     out["proj/b"] = params.proj_b
     return out
 
 
 def params_from_arrays(arrays: dict) -> BiaxialParams:
-    """Rebuild parameters from named arrays (checkpoint restore)."""
-    def build_stack(prefix):
-        indices = sorted({int(name.split("/")[1]) for name in arrays
-                          if name.startswith(prefix + "/")})
-        stack = []
-        for i in indices:
-            gates = {}
-            for fname in nn.GATE_FIELDS:
-                key = f"{prefix}/{i}/{fname}"
-                if key not in arrays:
-                    raise ValueError(f"checkpoint is missing {key}")
-                gates[fname] = arrays[key]
-            stack.append(nn.LstmCellParams.from_gates(gates))
-        return stack
-
-    for key in ("proj/w", "proj/b"):
+    """Rebuild parameters from named arrays (checkpoint restore), copied
+    to float64. A cell is its packed w and b, or in files from before
+    packing its eight gate sections w_i .. b_c: each w_* with w_i's shape,
+    each b_* with b_i's, stacked in nn.GATES order. Both then validate."""
+    def section(key):
         if key not in arrays:
             raise ValueError(f"checkpoint is missing {key}")
+        return np.array(arrays[key], dtype=np.float64)
+
+    def build_cell(prefix):
+        if prefix + "w" in arrays or prefix + "b" in arrays:
+            w, b = section(prefix + "w"), section(prefix + "b")
+        else:   # the eight gate sections of a file from before packing
+            gates = {f"{k}_{g}": section(f"{prefix}{k}_{g}")
+                     for k in "wb" for g in nn.GATES}
+            for name, arr in gates.items():
+                want = gates[name[0] + "_i"].shape
+                if arr.shape != want:
+                    raise ValueError(f"{prefix}{name} has shape {arr.shape}"
+                                     f", expected {want}")
+            w, b = (np.concatenate([gates[f"{k}_{g}"] for g in nn.GATES])
+                    for k in "wb")
+        return nn.LstmCellParams(w, b)
+
+    def build_stack(name):
+        indices = sorted({int(key.split("/")[1]) for key in arrays
+                          if key.startswith(name + "/")})
+        return [build_cell(f"{name}/{i}/") for i in indices]
+
     params = BiaxialParams(build_stack("timewise"), build_stack("notewise"),
-                           np.array(arrays["proj/w"], dtype=np.float64),
-                           np.array(arrays["proj/b"], dtype=np.float64))
+                           section("proj/w"), section("proj/b"))
     params.validate()
     return params
 

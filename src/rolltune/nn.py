@@ -16,11 +16,11 @@ Conventions:
   * a "stack" is a list of LstmCellParams applied bottom to top,
   * scans run over a leading step axis with a row axis for whatever is
     batched (sequences, notes, transitions),
-  * a cell holds one block w (4H, D + H) that multiplies concat(x,
-    h_prev) and one bias b (4H,), gates in the order input, forget,
-    output, candidate; the per-gate names (w_i, ..., b_c) are row-block
-    views of them, so checkpoints, optimizer state and target syncs
-    address the memory the kernel reads,
+  * a cell is one block w (4H, D + H) that multiplies concat(x,
+    h_prev) and one bias b (4H,), gate row-blocks in the order input,
+    forget, output, candidate. Gradients, optimizer state, target syncs
+    and checkpoints address these two arrays, the memory the kernel
+    reads,
   * the scan's elementwise work is gate-major: each step copies its
     (R, 4H) pre-activation block into one (4, R, H) scratch, so the
     sigmoid over i, f and o, the candidate tanh and the c/h updates run
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 GATES = ("i", "f", "o", "c")
-GATE_FIELDS = tuple(f"w_{g}" for g in GATES) + tuple(f"b_{g}" for g in GATES)
 
 
 def sigmoid(x, out=None):
@@ -145,25 +144,21 @@ class NonFiniteGradientError(ArithmeticError):
     """Raised when an optimizer receives NaN or infinite gradients."""
 
 
-def gate_views(w, b, hidden, prefix=""):
-    """Name -> row-block view of every gate of a packed (w, b) pair,
-    keyed like GATE_FIELDS."""
-    views = {}
-    for kind, arr in (("w", w), ("b", b)):
-        for k, gate in enumerate(GATES):
-            views[f"{prefix}{kind}_{gate}"] = arr[k * hidden:(k + 1) * hidden]
-    return views
-
-
 @dataclass
 class LstmCellParams:
     """One LSTM cell: w (4H, D + H) multiplies concat(x, h_prev) and b is
-    (4H,), with the gate blocks stacked in the order i, f, o, c."""
+    (4H,), gate blocks stacked i, f, o, c; H and D are read from w."""
 
-    input_size: int
-    hidden_size: int
     w: np.ndarray
     b: np.ndarray
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w.shape[0] // 4
+
+    @property
+    def input_size(self) -> int:
+        return self.w.shape[1] - self.hidden_size
 
     @classmethod
     def fresh(cls, input_size, hidden_size, rng):
@@ -174,31 +169,13 @@ class LstmCellParams:
         w = rng.uniform(-bound, bound, size=(4 * hidden_size, fan_in))
         b = np.zeros(4 * hidden_size)
         b[hidden_size:2 * hidden_size] = 1.0
-        return cls(input_size, hidden_size, w, b)
-
-    @classmethod
-    def from_gates(cls, gates: dict):
-        """Pack eight per-gate arrays keyed like GATE_FIELDS, as a
-        checkpoint stores them, into one cell. Every shape is checked."""
-        w_i = np.asarray(gates["w_i"])
-        if w_i.ndim != 2:
-            raise ValueError(f"w_i has shape {w_i.shape}, "
-                             "expected (hidden, input + hidden)")
-        hidden, fan_in = w_i.shape
-        for name in GATE_FIELDS:
-            want = (hidden, fan_in) if name[0] == "w" else (hidden,)
-            if np.shape(gates[name]) != want:
-                raise ValueError(f"{name} has shape {np.shape(gates[name])}"
-                                 f", expected {want}")
-        w = np.concatenate([gates[f"w_{g}"] for g in GATES], dtype=np.float64)
-        b = np.concatenate([gates[f"b_{g}"] for g in GATES], dtype=np.float64)
-        return cls(fan_in - hidden, hidden, w, b)
+        return cls(w, b)
 
     def validate(self):
-        want = (4 * self.hidden_size, self.input_size + self.hidden_size)
-        if self.w.shape != want or self.b.shape != want[:1]:
-            raise ValueError(f"packed shapes {self.w.shape}, {self.b.shape}"
-                             f" do not match expected {want}, {want[:1]}")
+        w, b = np.shape(self.w), np.shape(self.b)
+        if len(w) != 2 or w[0] % 4 or not 0 < w[0] // 4 < w[1] or b != w[:1]:
+            raise ValueError(f"packed shapes {w}, {b} are not (4H, D + H), "
+                             "(4H,) with H and D at least 1")
 
     def packed(self):
         """Views (wx, wh, b) of the packed block: wx (4H, D), wh (4H, H),
@@ -206,13 +183,8 @@ class LstmCellParams:
         d = self.input_size
         return self.w[:, :d], self.w[:, d:], self.b
 
-    def named_arrays(self, prefix=""):
-        """(name, view) pairs for the eight GATE_FIELDS arrays."""
-        return gate_views(self.w, self.b, self.hidden_size, prefix).items()
-
     def copy(self):
-        return LstmCellParams(self.input_size, self.hidden_size,
-                              self.w.copy(), self.b.copy())
+        return LstmCellParams(self.w.copy(), self.b.copy())
 
 
 def stack_step(layers, x, states, ws=None):
@@ -398,9 +370,9 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
     dstream is the gradient w.r.t. the top stream (S, R, H_top).
     Returns (per-layer grad dicts, dxs) where dxs is the gradient
     w.r.t. the original scan input, or None when input_grad is False
-    (its product is then skipped). A layer's dict is keyed like
-    GATE_FIELDS and holds row-block views of one packed gradient block,
-    which is always a fresh array.
+    (its product is then skipped). A layer's dict holds its gradients
+    {"w": dw, "b": db}, shaped like the cell's w and b and always fresh
+    arrays.
 
     The pass spends its operands (see Workspace). Each dropout mask is
     applied to the incoming gradient in place, and _gate_gradients
@@ -425,7 +397,7 @@ def stack_backward(layers, caches, dstream, input_grad=True, ws=None):
         dw = np.empty_like(layer.w)
         dw[:, :d] = flat_dz.T @ inputs
         dw[:, d:] = flat_dz.T @ dstream.reshape(s_len * rows, hs)
-        grads_out[li] = gate_views(dw, flat_dz.sum(axis=0), hs)
+        grads_out[li] = {"w": dw, "b": flat_dz.sum(axis=0)}
         if li == 0 and not input_grad:
             return grads_out, None
         dstream = np.matmul(flat_dz, wx, out=inputs).reshape(s_len, rows, d)

@@ -231,6 +231,13 @@ def occurs_in(seq, pitches) -> bool:
     return any(pitches[i:i + q] == seq for i in range(n - q + 1))
 
 
+def check_action(action):
+    """Refuse an action outside the MELODY_ACTIONS encoding."""
+    if not 0 <= action < MELODY_ACTIONS:
+        raise ValueError(f"action must be in [0, {MELODY_ACTIONS}), "
+                         f"got {action}")
+
+
 def theory_reward(history, action: int,
                   config: TheoryConfig) -> RewardBreakdown:
     """Score an action against the melody so far.
@@ -238,9 +245,7 @@ def theory_reward(history, action: int,
     history holds the actions already taken; the rules see the melody
     with the action appended, at step index len(history).
     """
-    if not 0 <= action < MELODY_ACTIONS:
-        raise ValueError(f"action must be in [0, {MELODY_ACTIONS}), "
-                         f"got {action}")
+    check_action(action)
     past = list(history)
     melody = past + [action]
     step = len(past)

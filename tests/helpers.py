@@ -441,8 +441,8 @@ def _round_half_up(x):
 
 def oracle_quantize(song, note_low, n_notes, steps_per_measure=16):
     """quantize with one slice assignment per note."""
-    if steps_per_measure < 1:
-        raise ValueError("steps_per_measure must be positive")
+    if steps_per_measure < 1 or song.ticks_per_quarter < 1:
+        raise ValueError("steps_per_measure, ticks_per_quarter must be > 0")
     step_ticks = song.ticks_per_quarter * 4.0 / steps_per_measure
     notes = []
     max_tick = 0
@@ -596,7 +596,7 @@ def reference_backward(layers, caches, dstream):
         dw = np.empty_like(layer.w)
         dw[:, :d] = flat_dz.T @ inputs.reshape(s_len * rows, d)
         dw[:, d:] = flat_dz.T @ h_prev.reshape(s_len * rows, hs)
-        grads_out[li] = nn.gate_views(dw, flat_dz.sum(axis=0), hs)
+        grads_out[li] = {"w": dw, "b": flat_dz.sum(axis=0)}
         dstream = (flat_dz @ wx).reshape(s_len, rows, d)
     return grads_out, dstream
 
@@ -657,3 +657,21 @@ def workspace_bytes(ws, prefix=""):
     for name, child in ws._scopes.items():
         sizes.update(workspace_bytes(child, f"{prefix}{name}/"))
     return sizes
+
+
+def per_gate_arrays(arrays):
+    """Named parameter arrays as files written before cells were stored
+    packed hold them: each cell's w and b, named <stack>/<i>/w or /b
+    with or without a trunk/ prefix, sliced into its gate row-blocks
+    w_i .. w_c or b_i .. b_c in nn.GATES order. Other arrays pass as
+    they are."""
+    out = {}
+    for name, arr in arrays.items():
+        parts = name.split("/")
+        if len(parts) < 3 or parts[-3] not in ("timewise", "notewise"):
+            out[name] = arr
+            continue
+        hidden = len(arr) // 4
+        for k, gate in enumerate(nn.GATES):
+            out[f"{name}_{gate}"] = arr[k * hidden:(k + 1) * hidden]
+    return out

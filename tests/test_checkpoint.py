@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rolltune import checkpoint, model
+from rolltune import checkpoint, model, tuner
 from rolltune.checkpoint import CheckpointError
 
 
@@ -85,6 +85,26 @@ class TestRoundTrip:
         for name, arr in model.param_arrays(params).items():
             np.testing.assert_array_equal(
                 model.param_arrays(rebuilt)[name], arr)
+
+    def test_desk_checkpoints_hold_one_w_and_b_per_cell(self, tmp_path):
+        """A desk model (one 24-unit layer a stack over 80 features) is
+        six sections and its Q-network eight: a cell is its packed w
+        (4H, D + H) and b (4H,)."""
+        params = model.init_biaxial_params([24], [24],
+                                           np.random.default_rng(0))
+        qnet = tuner.MelodyQNetwork.from_primed(params, 48, 36)
+        want = {"timewise/0/w": (96, 104), "timewise/0/b": (96,),
+                "notewise/0/w": (96, 50), "notewise/0/b": (96,),
+                "proj/w": (2, 24), "proj/b": (2,)}
+        for arrays, shapes in (
+                (model.param_arrays(params), want),
+                (qnet.params(), dict(
+                    {f"trunk/{k}": v for k, v in want.items()},
+                    **{"head/w": (38, 38), "head/b": (38,)}))):
+            path = tmp_path / "desk.ckpt"
+            checkpoint.write_checkpoint(path, arrays, {})
+            loaded, _ = checkpoint.read_checkpoint(path)
+            assert {k: v.shape for k, v in loaded.items()} == shapes
 
 
 class TestValidation:

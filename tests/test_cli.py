@@ -434,6 +434,38 @@ class TestParserPlumbing:
         assert not out.exists()
 
 
+class TestPerGateCheckpoint:
+    """Files written before cells were stored packed hold each cell as
+    eight gate sections w_i .. b_c. Every command still reads them, and
+    writes what it writes from the packed file of the same weights."""
+
+    def test_runs_generate_tune_and_eval_like_the_packed_file(
+            self, trained_ckpt, tuned_ckpt, tmp_path):
+        outputs = {}
+        for layout in ("packed", "per_gate"):
+            out = tmp_path / layout
+            out.mkdir()
+            primed, tuned = trained_ckpt, tuned_ckpt
+            if layout == "per_gate":
+                primed, tuned = tmp_path / "primed.ckpt", tmp_path / "q.ckpt"
+                for src, dst in ((trained_ckpt, primed), (tuned_ckpt, tuned)):
+                    arrays, meta = checkpoint.read_checkpoint(src)
+                    legacy = helpers.per_gate_arrays(arrays)
+                    assert len(legacy) == len(arrays) + 2 * 6
+                    checkpoint.write_checkpoint(dst, legacy, meta)
+            for argv in (
+                    ["generate", "--ckpt", primed, "--out", out / "s.mid"],
+                    ["tune", "--ckpt", primed, "--out", out / "t.ckpt"],
+                    ["eval", "--ckpt", primed, "--out", out / "p.csv"],
+                    ["eval", "--ckpt", tuned, "--out", out / "q.csv"]):
+                assert cli.main([str(arg) for arg in argv]) == 0
+            outputs[layout] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(outputs["packed"]) == [
+            "p.csv", "p.csv.txt", "q.csv", "q.csv.txt", "s.mid", "t.ckpt",
+            "t.ckpt.trace.csv"]
+        assert outputs["per_gate"] == outputs["packed"]
+
+
 # (key, value) pairs older checkpoints hold, every retired field among
 # them; the teacher_forcing cases keep the ids they had as the only ones
 RETIRED = [pytest.param("teacher_forcing", True, id="True"),

@@ -189,6 +189,16 @@ class TestEvaluateInvariants:
         with pytest.raises(ValueError, match="empty"):
             evaluate([], CFG)
 
+    def test_action_outside_the_encoding_is_rejected(self):
+        """Action 99 is no MIDI pitch 145: it is refused as theory_reward
+        refuses it, not scored as a note out of key."""
+        for bad in (99, 38, -1):
+            with pytest.raises(ValueError,
+                               match=r"action must be in \[0, 38\)"):
+                evaluate([[bad] * 32], CFG)
+            with pytest.raises(ValueError, match="action must be in"):
+                song_metrics([2, 5, bad, 9], CFG)
+
     def test_zero_key_penalty_iff_zero_out_of_key_metric(self):
         for melody in random_melodies(seed=6, count=30, length=24):
             penalty = math.fsum(

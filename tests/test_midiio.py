@@ -417,6 +417,39 @@ class TestQuantize:
         with pytest.raises(ValueError, match="MAX_STEPS"):
             midiio.quantize(song, note_low=60, n_notes=1)
 
+    def test_ticks_per_quarter_below_one_rejected(self):
+        """0 would divide by zero and a negative division would drop
+        every note into an empty one-step roll."""
+        for division in (0, -480):
+            song = self.song([MidiEvent(0, NOTE_ON, pitch=60, velocity=64),
+                              MidiEvent(480, NOTE_OFF, pitch=60)], division)
+            with pytest.raises(ValueError, match="ticks_per_quarter"):
+                midiio.quantize(song, note_low=60, n_notes=1)
+
+
+class TestTempo:
+    ROLL = NoteStateMatrix(np.zeros((2, 4, 2), np.uint8), 60)
+    # the slowest tempo whose beat rounds to MAX_TEMPO_US, and a tempo
+    # whose beat of 0.5 us rounds half up to 1 us
+    SLOWEST = float(np.nextafter(60_000_000.0 / (midiio.MAX_TEMPO_US + 0.5),
+                                 np.inf))
+    FASTEST = 1.2e8
+
+    def test_edges_render_and_serialize(self):
+        for bpm, tempo_us in ((self.SLOWEST, midiio.MAX_TEMPO_US),
+                              (self.FASTEST, 1), (120.0, 500000)):
+            assert midiio.tempo_us_of(bpm) == tempo_us
+            song = midiio.to_midi(self.ROLL, bpm)
+            assert song.tracks[0][0].tempo_us == tempo_us
+            midiio.serialize_midi(song)
+
+    @pytest.mark.parametrize("bpm", [
+        float("nan"), float("inf"), float("-inf"), 1e-310, 3.0, 2e8, 0.0,
+        -120.0, float(np.nextafter(SLOWEST, 0.0)), 1.21e8])
+    def test_tempo_outside_the_field_is_refused_by_name(self, bpm):
+        with pytest.raises(ValueError, match="tempo_bpm"):
+            midiio.to_midi(self.ROLL, bpm)
+
 
 class TestToMidiOracle:
 
@@ -481,7 +514,8 @@ class TestQuantizeOracle:
         tracks = data.draw(st.lists(
             st.lists(note_events(st.integers(58, 66)), max_size=30),
             min_size=1, max_size=4), "tracks")
-        division = data.draw(st.sampled_from([480, 96, 7, 1]), "division")
+        division = data.draw(st.sampled_from([480, 96, 7, 1, 0, -480]),
+                             "division")
         steps_per_measure = data.draw(st.integers(1, 24), "steps")
         song = MidiSong(division, tracks)
         args = (note_low, n_notes, steps_per_measure)

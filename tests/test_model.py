@@ -9,8 +9,8 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_batch
 from rolltune.midiio import NoteStateMatrix
 
-from helpers import (random_matrix, reference_loss_gradients,
-                     workspace_bytes)
+from helpers import (per_gate_arrays, random_matrix,
+                     reference_loss_gradients, workspace_bytes)
 
 
 def small_params(rng, timewise=(3,), notewise=(4,)):
@@ -35,11 +35,11 @@ def sig(x):
 def ref_cell(lay, x, h, c):
     """Gate equations written out directly, one vector at a time."""
     z = np.concatenate([x, h])
-    p = dict(lay.named_arrays())
-    i = sig(p["w_i"] @ z + p["b_i"])
-    f = sig(p["w_f"] @ z + p["b_f"])
-    o = sig(p["w_o"] @ z + p["b_o"])
-    g = np.tanh(p["w_c"] @ z + p["b_c"])
+    # each gate's row-block of the packed w and b, in the order i, f, o, c
+    zi, zf, zo, zc = (lay.w[rows] @ z + lay.b[rows] for rows in (
+        slice(k * lay.hidden_size, (k + 1) * lay.hidden_size)
+        for k in range(4)))
+    i, f, o, g = sig(zi), sig(zf), sig(zo), np.tanh(zc)
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -386,8 +386,10 @@ class TestParamArrays:
         arrays = model.param_arrays(params)
         arrays["proj/b"][0] = 321.0
         assert params.proj_b[0] == 321.0
-        arrays["timewise/0/w_f"][0, 0] = 654.0
+        arrays["timewise/0/w"][3, 0] = 654.0
         assert params.timewise[0].w[3, 0] == 654.0
+        arrays["notewise/0/b"][5] = 987.0
+        assert params.notewise[0].b[5] == 987.0
 
     def test_missing_key_is_an_error(self):
         rng = np.random.default_rng(18)
@@ -395,6 +397,73 @@ class TestParamArrays:
         del arrays["proj/w"]
         with pytest.raises(ValueError, match="proj/w"):
             model.params_from_arrays(arrays)
+
+    def test_a_cell_is_its_packed_w_and_b(self):
+        rng = np.random.default_rng(21)
+        params = small_params(rng, timewise=(3, 5), notewise=(4,))
+        arrays = model.param_arrays(params)
+        assert list(arrays) == [
+            "timewise/0/w", "timewise/0/b", "timewise/1/w", "timewise/1/b",
+            "notewise/0/w", "notewise/0/b", "proj/w", "proj/b"]
+        assert arrays["timewise/1/w"] is params.timewise[1].w
+        assert arrays["notewise/0/b"] is params.notewise[0].b
+
+    @pytest.mark.parametrize("name, bad", [
+        pytest.param("timewise/0/w", lambda w: w[0], id="w_1d"),
+        pytest.param("timewise/0/w", lambda w: w[:-1], id="w_rows_not_4h"),
+        pytest.param("notewise/0/w", lambda w: w[:, :0], id="w_no_columns"),
+        pytest.param("notewise/0/b", lambda b: b[:-1], id="b_short"),
+        pytest.param("timewise/0/b", lambda b: b[:, None], id="b_2d")])
+    def test_hostile_packed_sections_are_refused(self, name, bad):
+        rng = np.random.default_rng(22)
+        arrays = model.param_arrays(small_params(rng))
+        arrays[name] = bad(arrays[name])
+        with pytest.raises(ValueError, match="packed shapes"):
+            model.params_from_arrays(arrays)
+
+    def test_packed_stack_sizes_that_do_not_chain_are_refused(self):
+        rng = np.random.default_rng(23)
+        arrays = model.param_arrays(small_params(rng, timewise=(3, 5)))
+        # a cell of the right hidden size that reads 4 inputs, not 3
+        arrays["timewise/1/w"] = nn.LstmCellParams.fresh(4, 5, rng).w
+        with pytest.raises(ValueError, match="do not chain"):
+            model.params_from_arrays(arrays)
+        arrays = model.param_arrays(small_params(rng, timewise=(3, 5)))
+        del arrays["timewise/1/b"]
+        with pytest.raises(ValueError, match="missing timewise/1/b"):
+            model.params_from_arrays(arrays)
+
+    def test_per_gate_sections_pack_in_gate_order(self):
+        rng = np.random.default_rng(24)
+        params = small_params(rng, timewise=(3, 5), notewise=(4, 3))
+        legacy = per_gate_arrays(model.param_arrays(params))
+        assert len(legacy) == 4 * 8 + 2
+        rebuilt = model.params_from_arrays(legacy)
+        for name, arr in model.param_arrays(params).items():
+            np.testing.assert_array_equal(
+                model.param_arrays(rebuilt)[name], arr)
+
+    def test_per_gate_sections_are_shape_checked_against_w_i(self):
+        rng = np.random.default_rng(25)
+        gates = per_gate_arrays(model.param_arrays(small_params(rng)))
+        names = [name for name in gates if name.startswith("notewise/0/")]
+        assert len(names) == 8
+        for name in names:
+            # w_i and b_i set the shapes, so a bad one is reported at the
+            # first gate that differs from it
+            culprit = name[:-1] + ("f" if name[-1] == "i" else name[-1])
+            for bad in (gates[name][:-1], gates[name][..., None]):
+                with pytest.raises(ValueError, match=f"{culprit} has shape"):
+                    model.params_from_arrays(dict(gates, **{name: bad}))
+        # rows taken from one gate and given to another still sum to 4H
+        w_f, w_o = gates["timewise/0/w_f"], gates["timewise/0/w_o"]
+        cancel = dict(gates, **{"timewise/0/w_f": w_f[:-1],
+                                "timewise/0/w_o": np.vstack([w_o, w_f[-1:]])})
+        with pytest.raises(ValueError, match="timewise/0/w_f has shape"):
+            model.params_from_arrays(cancel)
+        del gates["notewise/0/b_o"]
+        with pytest.raises(ValueError, match="missing notewise/0/b_o"):
+            model.params_from_arrays(gates)
 
     def test_validate_rejects_bad_note_scan_input_width(self):
         rng = np.random.default_rng(19)

@@ -17,15 +17,14 @@ from helpers import reference_backward, reference_forward
 
 def scalar_lstm_step(params, x, h_prev, c_prev):
     """Element-by-element reference: no numpy vector math."""
-    hs = params.hidden_size
-    p = dict(params.named_arrays())
+    hs, w, b = params.hidden_size, params.w, params.b
     xs = list(x) + list(h_prev)
     h_out, c_out = [], []
     for j in range(hs):
-        zi = sum(p["w_i"][j][k] * xs[k] for k in range(len(xs))) + p["b_i"][j]
-        zf = sum(p["w_f"][j][k] * xs[k] for k in range(len(xs))) + p["b_f"][j]
-        zo = sum(p["w_o"][j][k] * xs[k] for k in range(len(xs))) + p["b_o"][j]
-        zc = sum(p["w_c"][j][k] * xs[k] for k in range(len(xs))) + p["b_c"][j]
+        # row j of each gate's row-block, gates in the order i, f, o, c
+        zi, zf, zo, zc = (
+            sum(w[r][k] * xs[k] for k in range(len(xs))) + b[r]
+            for r in (j, hs + j, 2 * hs + j, 3 * hs + j))
         i = 1.0 / (1.0 + math.exp(-zi))
         f = 1.0 / (1.0 + math.exp(-zf))
         o = 1.0 / (1.0 + math.exp(-zo))
@@ -40,9 +39,14 @@ def random_cell(input_size, hidden_size, rng):
     cell = nn.LstmCellParams.fresh(input_size, hidden_size, rng)
     # fresh() starts biases at 0/1; randomize everything so no gradient
     # is accidentally zero in the checks below
-    for _, arr in cell.named_arrays():
+    for arr in (cell.w, cell.b):
         arr += rng.normal(0.0, 0.3, size=arr.shape)
     return cell
+
+
+def cell_arrays(cell):
+    """A cell's parameters keyed like the gradient dicts."""
+    return {"w": cell.w, "b": cell.b}
 
 
 def step_one(cell, x, h_prev, c_prev):
@@ -64,33 +68,17 @@ class TestPackedCell:
         cell = nn.LstmCellParams.fresh(3, 5, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         bound = 1.0 / math.sqrt(8)
-        gates = dict(cell.named_arrays())
-        for name in ("w_i", "w_f", "w_o", "w_c"):
+        for k in range(4):
             np.testing.assert_array_equal(
-                gates[name], rng.uniform(-bound, bound, size=(5, 8)))
-
-    def test_from_gates_round_trips_and_checks_every_shape(self):
-        cell = random_cell(3, 5, np.random.default_rng(1))
-        gates = {k: v.copy() for k, v in cell.named_arrays()}
-        back = nn.LstmCellParams.from_gates(gates)
-        assert (back.input_size, back.hidden_size) == (3, 5)
-        np.testing.assert_array_equal(back.w, cell.w)
-        np.testing.assert_array_equal(back.b, cell.b)
-        # w_i sets the expected sizes, so it is checked for being 2-D
-        bad_gates = dict({name: gates[name][:-1]
-                          for name in nn.GATE_FIELDS[1:]},
-                         w_i=gates["w_i"][0])
-        for name, bad in bad_gates.items():
-            with pytest.raises(ValueError, match=name):
-                nn.LstmCellParams.from_gates(dict(gates, **{name: bad}))
+                cell.w[5 * k:5 * (k + 1)],
+                rng.uniform(-bound, bound, size=(5, 8)))
 
 
 class TestLstmStep:
     def test_zero_params_zero_input(self):
         rng = np.random.default_rng(0)
         cell = nn.LstmCellParams.fresh(3, 5, rng)
-        for _, arr in cell.named_arrays():
-            arr[...] = 0.0
+        cell.w[...] = cell.b[...] = 0.0
         c_prev = rng.normal(size=5)
         h, c = step_one(cell, np.zeros(3), np.zeros(5), c_prev)
         np.testing.assert_allclose(c, 0.5 * c_prev, rtol=0, atol=1e-15)
@@ -138,7 +126,7 @@ class TestLstmBackward:
         # the backward pass writes its input gradient over the scan input
         _, caches, _ = nn.stack_forward([cell], xs.copy(), init_states=init)
         grads_list, dxs = nn.stack_backward([cell], caches, w_out.copy())
-        params = dict(cell.named_arrays())
+        params = cell_arrays(cell)
         numeric = nn.finite_difference_gradients(loss, params)
         assert nn.max_relative_error(grads_list[0], numeric) < 1e-6
         numeric_x = nn.finite_difference_gradients(loss, {"xs": xs})
@@ -156,7 +144,7 @@ class TestLstmBackward:
 
         _, caches, _ = nn.stack_forward([cell], xs.copy())
         grads_list, dxs = nn.stack_backward([cell], caches, w_out.copy())
-        params = dict(cell.named_arrays())
+        params = cell_arrays(cell)
         numeric = nn.finite_difference_gradients(loss, params)
         assert nn.max_relative_error(grads_list[0], numeric) < 1e-5
         numeric_x = nn.finite_difference_gradients(loss, {"xs": xs})
@@ -193,7 +181,7 @@ class TestStackScan:
         _, caches, _ = nn.stack_forward(layers, xs.copy())
         grads_list, _ = nn.stack_backward(layers, caches, w_out.copy())
         for li, layer in enumerate(layers):
-            params = dict(layer.named_arrays())
+            params = cell_arrays(layer)
             numeric = nn.finite_difference_gradients(loss, params)
             assert nn.max_relative_error(grads_list[li], numeric) < 1e-5
 
@@ -300,8 +288,8 @@ class TestGateMajorScan:
         grads, dxs = nn.stack_backward(layers, caches, dstream.copy())
         ref_grads, ref_dxs = reference_backward(layers, ref_caches, dstream)
         for got, want in zip(grads, ref_grads):
-            assert set(got) == set(nn.GATE_FIELDS)
-            for name in nn.GATE_FIELDS:
+            assert set(got) == {"w", "b"}
+            for name in ("w", "b"):
                 np.testing.assert_array_equal(got[name], want[name])
         np.testing.assert_array_equal(dxs, ref_dxs)
 
@@ -500,7 +488,7 @@ class TestWorkspace:
             ref_grads, ref_dxs = reference_backward(layers, ref_caches,
                                                     dstream)
             for got, want in zip(grads, ref_grads):
-                for name in nn.GATE_FIELDS:
+                for name in ("w", "b"):
                     np.testing.assert_array_equal(got[name], want[name])
             np.testing.assert_array_equal(dxs, ref_dxs)
             assert np.shares_memory(dxs, scan_in)

@@ -404,6 +404,16 @@ class TestConfig:
                                                  "positive, with a beat"):
                 RunConfig(tempo_bpm=bpm).validate()
 
+    def test_tempo_too_fast_for_the_field_is_refused(self):
+        """A beat that rounds to 0 us would be written as tempo 0; the
+        fastest tempo validate() accepts is the one whose beat rounds to
+        1 us."""
+        RunConfig(tempo_bpm=1.2e8).validate()
+        for bpm in (2e8, 1.21e8):
+            with pytest.raises(ValueError, match="tempo_bpm must be "
+                                                 "positive, with a beat"):
+                RunConfig(tempo_bpm=bpm).validate()
+
     def test_from_run_config_copies_every_field(self):
         run = RunConfig(key_root=7, key_mode="minor", tonic_reward=9.0,
                         episode_len=48, max_repeats=2)
