@@ -12,7 +12,7 @@ import dataclasses
 import numbers
 from dataclasses import dataclass, field
 
-from .midiio import tempo_us_of
+from .midiio import MAX_STEPS, tempo_us_of
 from .theory import TheoryConfig
 
 
@@ -106,8 +106,10 @@ class RunConfig(TheoryConfig):
                 f"replay_capacity {self.replay_capacity}: the replay "
                 "never holds a full batch, so tune would take no Q-update")
         tempo_us_of(self.tempo_bpm)     # the tempo to_midi will write
-        if self.eval_songs < 1 or self.gen_steps < 1:
-            raise ValueError("gen_steps and eval_songs must be positive")
+        # MAX_STEPS is the longest roll midiio.quantize reads back
+        if self.eval_songs < 1 or not 1 <= self.gen_steps <= MAX_STEPS:
+            raise ValueError("eval_songs must be positive and gen_steps in "
+                             f"1..MAX_STEPS = {MAX_STEPS}")
         if self.sampling not in ("greedy", "boltzmann"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
         return self

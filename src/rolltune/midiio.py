@@ -126,10 +126,6 @@ class NoteStateMatrix:
         if self.steps_per_measure < 1:
             raise ValueError("steps_per_measure must be positive")
 
-    def copy(self):
-        return NoteStateMatrix(self.data.copy(), self.note_low,
-                               self.steps_per_measure)
-
     def __eq__(self, other):
         if not isinstance(other, NoteStateMatrix):
             return NotImplemented

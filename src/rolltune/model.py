@@ -99,10 +99,15 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
     """Rebuild parameters from named arrays (checkpoint restore), copied
     to float64. A cell is its packed w and b, or in files from before
     packing its eight gate sections w_i .. b_c: each w_* with w_i's shape,
-    each b_* with b_i's, stacked in nn.GATES order. Both then validate."""
+    each b_* with b_i's, stacked in nn.GATES order. Both then validate.
+    A stack's layers are <stack>/0/ .. <stack>/L-1/, and a section under
+    a stack that no layer reads is refused."""
+    read = set()
+
     def section(key):
         if key not in arrays:
             raise ValueError(f"checkpoint is missing {key}")
+        read.add(key)
         return np.array(arrays[key], dtype=np.float64)
 
     def build_cell(prefix):
@@ -121,12 +126,16 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
         return nn.LstmCellParams(w, b)
 
     def build_stack(name):
-        indices = sorted({int(key.split("/")[1]) for key in arrays
-                          if key.startswith(name + "/")})
-        return [build_cell(f"{name}/{i}/") for i in indices]
+        layers = []
+        while any(key.startswith(f"{name}/{len(layers)}/") for key in arrays):
+            layers.append(build_cell(f"{name}/{len(layers)}/"))
+        return layers
 
     params = BiaxialParams(build_stack("timewise"), build_stack("notewise"),
                            section("proj/w"), section("proj/b"))
+    for key in arrays:
+        if key.startswith(("timewise/", "notewise/")) and key not in read:
+            raise ValueError(f"no layer reads checkpoint section {key}")
     params.validate()
     return params
 
@@ -137,11 +146,10 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None,
 
     Notes never interact here; permuting them permutes outputs. feats
     laid out time-major in memory, as expand_batch returns them, are
-    scanned in place. The top stream is copied into the first H_top
-    columns of the note scan's input array, where notewise_pass on the
-    same workspace finds it; the returned (B, N, T, H_top) array is
-    that view. top, when given, is the (T, B*N, H_top) memory the top
-    stream itself is written into (see nn.stack_forward's out).
+    scanned in place. The returned array is a view of the top stream.
+    top, when given, is the (T, B*N, H_top) memory the top stream is
+    written into (see nn.stack_forward's out); the view then reads
+    top's memory and is valid only until the note scan writes its gates.
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, f = feats.shape
@@ -149,16 +157,13 @@ def timewise_pass(feats: np.ndarray, layers, keep_masks=None, ws=None,
         feats.transpose(2, 0, 1, 3)).reshape(t, b * n, f)
     stream, caches, _ = nn.stack_forward(layers, xs, keep_masks=keep_masks,
                                          ws=ws.scope("timewise"), out=top)
-    hidden = stream.shape[-1]
-    out = _note_inputs(ws, b, n, t, hidden)[1][..., :hidden]
-    out[...] = stream.reshape(t, b, n, hidden).transpose(1, 2, 0, 3)
-    return out, caches
+    return stream.reshape(t, b, n, -1).transpose(1, 2, 0, 3), caches
 
 
 def _time_top_in_note_gates(ws, params: BiaxialParams, b, n, t):
     """Memory for the time stack's top stream (T, B*N, H_top) during a
     training pass: the first floats of the note scan's layer-0 gate
-    buffer, which the note scan writes only after timewise_pass has
+    buffer, which the note scan writes only after notewise_pass has
     copied that stream into the note scan's input. None, for an array
     of the time scan's own, when it does not fit there (4 * the note
     stack's layer-0 hidden size < H_top)."""
@@ -174,14 +179,6 @@ def _time_top_in_note_gates(ws, params: BiaxialParams, b, n, t):
     return ws.views(("time_top", t, b * n, hidden),
                     lambda g: g.reshape(-1)[:size].reshape(t, b * n, hidden),
                     gates)
-
-
-def _note_inputs(ws, b, n, t, hidden):
-    """The note scan's input (N, B*T, H+2), each note's time output
-    followed by its feedback pair, and the same memory by song as
-    (B, N, T, H+2)."""
-    xs = ws.empty("note_inputs", (n, b * t, hidden + 2))
-    return xs, xs.reshape(n, b, t, hidden + 2).transpose(1, 0, 2, 3)
 
 
 def _to_note_major(tensor: np.ndarray) -> np.ndarray:
@@ -227,14 +224,13 @@ def notewise_pass(timewise_out: np.ndarray, params: BiaxialParams,
     Returns (logits, caches, stream): logits (B, N, T, 2), the scan's
     stack_forward caches, which backward reads, and its top stream
     (N, B*T, H_top), the top cache's output stream. The scan input,
-    each note's time output followed by its feedback pair, is written
-    note-major into one (N, B*T, H+2) array; a timewise_pass output on
-    the same workspace already sits there and is not copied.
+    each note's time output followed by its feedback pair, is copied
+    note-major into one (N, B*T, H+2) array.
     """
     ws = nn.Workspace() if ws is None else ws
     b, n, t, hidden = timewise_out.shape
-    xs, by_song = _note_inputs(ws, b, n, t, hidden)
-    # numpy returns at once when assigning a view to itself
+    xs = ws.empty("note_inputs", (n, b * t, hidden + 2))
+    by_song = _from_note_major(xs, b)
     by_song[..., :hidden] = timewise_out
     by_song[..., hidden:] = teacher_feedback(targets)
     stream, caches, _ = nn.stack_forward(params.notewise, xs,

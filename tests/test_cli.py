@@ -433,6 +433,37 @@ class TestParserPlumbing:
         assert "tempo_bpm must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_longest_roll_the_midi_reader_takes_back_is_generated(
+            self, trained_ckpt, tmp_path, monkeypatch):
+        """--steps MAX_STEPS reaches model.generate as it is (a stand-in
+        returns one column, so no long roll is sampled)."""
+        asked = []
+
+        def one_column(params, cfg, steps, rng):
+            asked.append(steps)
+            return midiio.NoteStateMatrix(
+                np.zeros((cfg.n_notes, 1, 2), np.uint8), cfg.note_low)
+        monkeypatch.setattr(model, "generate", one_column)
+        out = tmp_path / "out.mid"
+        rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
+                       "--steps", str(midiio.MAX_STEPS), "--out", str(out)])
+        assert rc == 0
+        assert asked == [midiio.MAX_STEPS]
+        assert out.exists()
+
+    def test_roll_too_long_for_the_midi_reader_is_refused_up_front(
+            self, trained_ckpt, capsys, tmp_path, monkeypatch):
+        """One step past MAX_STEPS, which quantize would refuse to read
+        back, is refused by name before generate samples a column."""
+        monkeypatch.setattr(model, "generate", None)   # never reached
+        out = tmp_path / "out.mid"
+        rc = cli.main(["generate", "--ckpt", str(trained_ckpt),
+                       "--steps", str(midiio.MAX_STEPS + 1),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "gen_steps in 1..MAX_STEPS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPerGateCheckpoint:
     """Files written before cells were stored packed hold each cell as

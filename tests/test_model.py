@@ -302,6 +302,43 @@ class TestWorkspace:
                 np.testing.assert_array_equal(got[2][name], grad)
         assert_no_spent_copies(ws)
 
+    def test_timewise_pass_writes_only_its_own_scan(self):
+        """The time scan fills no array of the note scan's: a fresh
+        workspace holds nothing outside its "timewise" scope after it."""
+        rng = np.random.default_rng(29)
+        params = small_params(rng, (3, 4), (4, 2))
+        ws = nn.Workspace()
+        model.timewise_pass(expand_batch(small_batch(rng), 60),
+                            params.timewise, ws=ws)
+        keys = list(workspace_bytes(ws))
+        assert keys and all(key.startswith("timewise/") for key in keys)
+
+    @pytest.mark.parametrize("sizes", [((4,), (3,)), ((3, 4), (4, 2)),
+                                       ((9,), (2,))])
+    def test_note_scan_reads_the_time_view_as_a_copy(self, sizes):
+        """A training pass's time output is a view of the note scan's
+        layer-0 gates, where they fit; notewise_pass copies it before its
+        scan writes there, so handing it an independent copy gives the
+        same logits, gates and output streams to the bit."""
+        rng = np.random.default_rng(30)
+        params = small_params(rng, *sizes)
+        batch = small_batch(rng, b=2, n=5, t=6)
+        b, n, t, _ = batch.shape
+        runs = []
+        for copy in (False, True):
+            ws = nn.Workspace()
+            tw, _ = model.timewise_pass(
+                expand_batch(batch, 60, ws), params.timewise, ws=ws,
+                top=model._time_top_in_note_gates(ws, params, b, n, t))
+            runs.append(model.notewise_pass(
+                tw.copy() if copy else tw, params,
+                batch.astype(np.float64), ws=ws))
+        (view_logits, view_caches, _), (copy_logits, copy_caches, _) = runs
+        np.testing.assert_array_equal(view_logits, copy_logits)
+        for got, want in zip(view_caches, copy_caches):
+            np.testing.assert_array_equal(got.gates, want.gates)
+            np.testing.assert_array_equal(got.out, want.out)
+
     # Desk shapes: batch 4 x 36 notes x 32 steps, so the time scan runs
     # 32 steps of 144 rows and the note scan 36 steps of 128 rows.
     SHARED = {"features": 2_949_120, "note_inputs": 958_464}
@@ -366,6 +403,17 @@ def assert_no_spent_copies(ws):
     for banned in ("d_note_top", "d_time_top", "('h', ", "('dinput', ",
                    "('h_slot', "):
         assert not any(banned in key for key in keys), banned
+
+
+def rename_layer(old, new):
+    """Named arrays with each section under old renamed under new."""
+    return lambda arrays: {name.replace(old, new): arr
+                           for name, arr in arrays.items()}
+
+
+def add_section(name, like):
+    """Named arrays plus one more section, name, a copy of like's."""
+    return lambda arrays: dict(arrays, **{name: arrays[like].copy()})
 
 
 class TestParamArrays:
@@ -442,6 +490,24 @@ class TestParamArrays:
         for name, arr in model.param_arrays(params).items():
             np.testing.assert_array_equal(
                 model.param_arrays(rebuilt)[name], arr)
+
+    @pytest.mark.parametrize("layout", [dict, per_gate_arrays])
+    @pytest.mark.parametrize("edit, culprit", [
+        pytest.param(rename_layer("timewise/1/", "timewise/5/"),
+                     "timewise/5/", id="gap"),
+        pytest.param(rename_layer("timewise/1/", "timewise/x/"),
+                     "timewise/x/", id="non_integer"),
+        pytest.param(add_section("timewise/0/extra", "timewise/0/b"),
+                     "timewise/0/extra", id="stray_section")])
+    def test_layers_are_numbered_from_zero_without_gaps(self, layout, edit,
+                                                         culprit):
+        """A stack's layers are <stack>/0/, <stack>/1/, ...: a gap, an
+        index that is not a number and a section no layer reads are each
+        refused by name."""
+        rng = np.random.default_rng(26)
+        arrays = model.param_arrays(small_params(rng, timewise=(3, 3)))
+        with pytest.raises(ValueError, match=f"section {culprit}"):
+            model.params_from_arrays(layout(edit(arrays)))
 
     def test_per_gate_sections_are_shape_checked_against_w_i(self):
         rng = np.random.default_rng(25)

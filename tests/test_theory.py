@@ -404,6 +404,14 @@ class TestConfig:
                                                  "positive, with a beat"):
                 RunConfig(tempo_bpm=bpm).validate()
 
+    def test_gen_steps_must_fit_what_quantize_reads_back(self):
+        """quantize refuses a song longer than MAX_STEPS steps, so a roll
+        generate writes may be at most that long; one step more is
+        refused up front and the message names the setting."""
+        RunConfig(gen_steps=midiio.MAX_STEPS).validate()
+        with pytest.raises(ValueError, match="gen_steps in 1..MAX_STEPS"):
+            RunConfig(gen_steps=midiio.MAX_STEPS + 1).validate()
+
     def test_tempo_too_fast_for_the_field_is_refused(self):
         """A beat that rounds to 0 us would be written as tempo 0; the
         fastest tempo validate() accepts is the one whose beat rounds to
