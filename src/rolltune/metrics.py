@@ -1,11 +1,11 @@
 """Quantitative report over generated melodies.
 
-Every statistic reuses the predicates from the theory module, so a
-melody that takes zero key penalty is guaranteed to score 0% on the
-out-of-key metric, and so on. Per-song values are averaged over the
-song list; songs where a statistic is undefined (no onsets, no leaps)
-contribute 0 to that row, a convention the docstrings call out where
-it applies.
+Every row reads onsets through theory.onset_pitches; the out-of-key,
+autocorrelation and motif rows reuse theory's predicates (in_key,
+pitch_series and autocorr, is_motif and occurs_in), so zero key penalty
+means 0% out of key. Repeats, tonic starts, resolved leaps and unique
+extremes are counted here. Per-song values are averaged over the song
+list; a song where a statistic is undefined adds 0 to that row.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class MetricReport:
                 raise ValueError(f"{name} = {v} outside [-1, 1]")
         if self.song_count < 1:
             raise ValueError("song_count must be positive")
+        return self
 
 
 def song_metrics(actions, config: TheoryConfig) -> dict:
@@ -154,11 +155,8 @@ def evaluate(melodies, config: TheoryConfig) -> MetricReport:
         for name, value in song_metrics(melody, config).items():
             values[name].append(value)
     n = len(melodies)
-    report = MetricReport(song_count=n,
-                          **{name: math.fsum(vs) / n
-                             for name, vs in values.items()})
-    report.validate()
-    return report
+    means = {name: math.fsum(vs) / n for name, vs in values.items()}
+    return MetricReport(song_count=n, **means).validate()
 
 
 def report_to_csv(report: MetricReport) -> str:
@@ -171,6 +169,7 @@ def report_to_csv(report: MetricReport) -> str:
 
 
 def report_from_csv(text: str) -> MetricReport:
+    """Parse report_to_csv's text back into a validated MetricReport."""
     values = {}
     stream = io.StringIO(text)
     header = stream.readline().strip()
@@ -193,7 +192,7 @@ def report_from_csv(text: str) -> MetricReport:
         extra = sorted(set(values) - known)
         raise ValueError(f"report fields mismatch: missing {missing}, "
                          f"unknown {extra}")
-    return MetricReport(**values)
+    return MetricReport(**values).validate()
 
 
 def report_table(report: MetricReport) -> str:

@@ -444,9 +444,11 @@ def to_midi(matrix: NoteStateMatrix,
     measure). At a shared tick, note-offs precede note-ons so re-struck
     pitches survive a round trip; end-of-track lands at the end of the
     final step so trailing silence is preserved. The tempo must pass
-    tempo_us_of.
+    tempo_us_of; a roll over MAX_STEPS steps (quantize's limit) is refused.
     """
     matrix.validate()
+    if matrix.n_steps > MAX_STEPS:
+        raise ValueError(f"roll of {matrix.n_steps} steps exceeds MAX_STEPS")
     tempo_us = tempo_us_of(tempo_bpm)
     step_ticks = DEFAULT_DIVISION * 4.0 / matrix.steps_per_measure
     n_notes, n_steps = matrix.n_notes, matrix.n_steps

@@ -271,6 +271,20 @@ def _sample_note_scan(params: BiaxialParams, xs: np.ndarray, rng,
     return samples
 
 
+def cell_log_likelihood(logits, targets):
+    """Log-likelihood of each (play, articulate) cell of targets under
+    logits (..., 2), broadcast together, and its derivative by the logit;
+    an articulation cell is zero unless its target play bit is 1."""
+    targets = np.asarray(targets, dtype=np.float64)
+    ll = -(np.maximum(logits, 0.0) - logits * targets
+           + np.log1p(np.exp(-np.abs(logits))))
+    # written -(sigma - t) so the loss's gradient is sigma - t to the bit
+    dll = -(nn.sigmoid(logits) - targets)
+    for cells in (ll, dll):
+        cells[..., 1] *= targets[..., 0]
+    return ll, dll
+
+
 def loss(logits: np.ndarray, batch: np.ndarray):
     """Masked sigmoid cross-entropy against the next step's column.
 
@@ -285,18 +299,11 @@ def loss(logits: np.ndarray, batch: np.ndarray):
 def loss_with_gradient(logits, batch):
     """loss() plus d(loss)/d(logits), zero at the final step and at
     masked articulation cells."""
-    lg = logits[:, :, :-1]
-    tg = np.asarray(batch, dtype=np.float64)[:, :, 1:]
-    ce = np.maximum(lg, 0.0) - lg * tg + np.log1p(np.exp(-np.abs(lg)))
-    mask = np.ones_like(ce)
-    mask[..., 1] = tg[..., 0]
-    ce = ce * mask
-    b, n, t_eff = lg.shape[:3]
-    denom = b * n * t_eff
-    total = float(ce.sum())
+    ll, dll = cell_log_likelihood(logits[:, :, :-1], batch[:, :, 1:])
+    denom, total = ll[..., 0].size, -float(ll.sum())
     dlogits = np.zeros_like(logits)
-    dlogits[:, :, :-1] = (nn.sigmoid(lg) - tg) * mask / denom
-    return total / denom, -total / (denom / n), dlogits
+    np.divide(dll, -denom, out=dlogits[:, :, :-1])
+    return total / denom, -total / (denom / logits.shape[1]), dlogits
 
 
 def loss_gradients(params: BiaxialParams, batch: np.ndarray, note_low: int,

@@ -53,12 +53,6 @@ def sigmoid(x, out=None):
     return out
 
 
-def log_sigmoid(x):
-    """log(sigmoid(x)) without overflow for large negative inputs."""
-    tail = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x >= 0, -tail, x - tail)
-
-
 def logsumexp(x, axis=None):
     m = np.max(x, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))

@@ -5,11 +5,12 @@ reward model (the primed polyphonic net), the online Q-network, and its
 slowly tracking target copy. Melodies use the 38-action encoding from
 midiio (note-off, hold, 36 pitch onsets). Each action becomes a roll
 column, the trunk consumes it, and a fixed projection turns the per-
-note (play, articulate) logits into 38 action scores:
+note (play, articulate) logits into 38 action scores, each a sum of
+training's masked cell log-likelihoods (model.cell_log_likelihood):
 
-  * onset of melody row m:   log sig(play_m) + log sig(artic_m)
-  * hold while m sounds:     log sig(play_m) + log(1 - sig(artic_m))
-  * hold in silence:         sum over melody rows of log(1 - sig(play))
+  * onset of melody row m:   row m struck, the pair (1, 1)
+  * hold while m sounds:     row m held, (1, 0)
+  * hold in silence:         every melody row silent, (0, 0)
   * note-off:                the same all-silent score, minus ln 2 when
                              already silent so the two actions differ
 
@@ -45,13 +46,14 @@ from . import nn
 from .features import expand_columns
 from .midiio import (MELODY_ACTIONS, MELODY_HIGH, MELODY_LOW,
                      MELODY_NO_EVENT, MELODY_NOTE_OFF)
-from .model import (BiaxialParams, backward, notewise_pass, param_arrays,
-                    params_from_arrays)
+from .model import (BiaxialParams, backward, cell_log_likelihood,
+                    notewise_pass, param_arrays, params_from_arrays)
 from .theory import theory_reward
 
 N_MELODY_ROWS = MELODY_HIGH - MELODY_LOW + 1
 LN2 = float(np.log(2.0))
 SONGS_IN_FLIGHT = 64     # lockstep songs scored per trunk_scores call
+PAIRS = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])  # struck, held, silent
 
 
 def melody_rows(note_low: int, n_notes: int) -> slice:
@@ -206,43 +208,38 @@ def trunk_scores(trunk: BiaxialParams, note_low: int,
         ws=ws)
     # (M, B, 2) over the note-major buffer, so sums run along melody rows
     mel = logits[:, rows, 0].transpose(1, 0, 2)
-    log_on, log_off = nn.log_sigmoid(mel), nn.log_sigmoid(-mel)
-    lp, la = log_on[:, :, 0], log_on[:, :, 1]
-    lnp, lna = log_off[:, :, 0], log_off[:, :, 1]
-    silent = lnp.sum(axis=0)
+    # repeated over the rows: broadcast, the pairs run 2-element loops
+    pairs = np.repeat(PAIRS, mel[..., 0].size, axis=0).reshape(3, *mel.shape)
+    ll, dll = cell_log_likelihood(mel, pairs)
+    struck, held_ll, silent_rows = ll[..., 0] + ll[..., 1]
+    silent = silent_rows.sum(axis=0)
     play = snapshot.col[:, rows, 0]
     held, m, k = play.any(axis=1), play.argmax(axis=1), np.arange(b)
     scores = np.empty((b, MELODY_ACTIONS))
-    scores[:, 2:] = (lp + la).T
-    scores[:, MELODY_NO_EVENT] = np.where(held, lp[m, k] + lna[m, k], silent)
+    scores[:, 2:] = struck.T
+    scores[:, MELODY_NO_EVENT] = np.where(held, held_ll[m, k], silent)
     scores[:, MELODY_NOTE_OFF] = np.where(held, silent, silent - LN2)
-    cache = (t_caches, n_caches, logits, held, m, rows)
+    cache = (t_caches, n_caches, logits, dll, held, m, rows)
     return scores, finals, cache
 
 
 def trunk_scores_backward(trunk: BiaxialParams, cache,
                           dscores: np.ndarray, ws=None) -> dict:
-    """Gradients of a scalar through trunk_scores, given d(scores):
-    d(logits) on the melody rows, then model.backward on the workspace
-    the scores were computed with."""
-    t_caches, n_caches, logits, held, m, rows = cache
-    b, n_mel = len(held), rows.stop - rows.start
-    d_hold = dscores[:, MELODY_NO_EVENT]
-    dlp = np.ascontiguousarray(dscores[:, 2:].T)
-    dla = dlp.copy()
-    dlnp = np.tile(dscores[:, MELODY_NOTE_OFF] + np.where(held, 0.0, d_hold),
-                   (n_mel, 1))
-    dlna = np.zeros((n_mel, b))
-    k = np.flatnonzero(held)
-    dlp[m[k], k] += d_hold[k]
-    dlna[m[k], k] = d_hold[k]
-    mel = logits[:, rows, 0].transpose(1, 0, 2)
-    sig_p = nn.sigmoid(mel[:, :, 0])
-    sig_a = nn.sigmoid(mel[:, :, 1])
+    """Gradients of a scalar through trunk_scores: d(logits) on the melody
+    rows, its cached cell derivatives weighted by d(scores), then
+    model.backward on the workspace the scores were computed with."""
+    t_caches, n_caches, logits, dll, held, m, rows = cache
+    d_hold, k = dscores[:, MELODY_NO_EVENT], np.flatnonzero(held)
+    d_struck = dscores[:, 2:].T
+    d_held = np.zeros_like(d_struck)
+    d_held[m[k], k] = d_hold[k]
+    d_silent = dscores[:, MELODY_NOTE_OFF] + np.where(held, 0.0, d_hold)
     dlogits = np.zeros_like(logits)
     dmel = dlogits[:, rows, 0].transpose(1, 0, 2)
-    dmel[:, :, 0] = dlp * (1.0 - sig_p) - dlnp * sig_p
-    dmel[:, :, 1] = dla * (1.0 - sig_a) - dlna * sig_a
+    # struck and held rows share a play target, so one product serves both
+    dmel[..., 0] = ((d_struck + d_held) * dll[0, ..., 0]
+                    + d_silent * dll[2, ..., 0])
+    dmel[..., 1] = d_struck * dll[0, ..., 1] + d_held * dll[1, ..., 1]
     return backward(trunk, t_caches, n_caches, dlogits, ws)
 
 

@@ -40,15 +40,42 @@ def expected_spans(workload):
     raise LookupError(f"{workload}.expected_spans not found")
 
 
-def traced_calls(run):
-    """Call counts by span name while run() executes under the tracer."""
+def run_traced(run):
+    """The tracer, uninstalled again, after run() executes under it."""
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
         run()
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def call_counts(tracer):
     return {name: n for name, (n, _) in tracer.totals().items()}
+
+
+def traced_calls(run):
+    """Call counts by span name while run() executes under the tracer."""
+    return call_counts(run_traced(run))
+
+
+def assert_workload_spans_fire(calls, workload):
+    spans = expected_spans(workload)
+    assert spans
+    for name in spans:
+        assert calls.get(name, 0) > 0, name
+
+
+def write_primed(path, cfg):
+    """A freshly initialized note model as a primed checkpoint."""
+    params = model.init_biaxial_params(cfg.timewise_hidden,
+                                       cfg.notewise_hidden,
+                                       np.random.default_rng(0))
+    checkpoint.write_checkpoint(
+        path, model.param_arrays(params),
+        cli.checkpoint_metadata(cli.KIND_BIAXIAL, cfg, 0))
+    return params
 
 
 def test_tracer_installs_and_uninstalls():
@@ -78,22 +105,30 @@ def test_lockstep_sampling_fires_the_sample_desk_spans():
         tuner.rollout(qnet, cfg, rng, greedy=False, songs=2)
         tuner.sample_primed_melody(reward_model, cfg, rng, songs=2)
 
-    calls = traced_calls(run)
+    tracer = run_traced(run)
+    calls = call_counts(tracer)
     assert calls["tuner.rollout"] == 1
     assert calls["tuner.sample_primed_melody"] == 1
     # one scoring call and one pick per step for both songs at once
     assert calls["tuner.trunk_scores"] == 2 * cfg.episode_len
     assert calls["tuner.choose_action"] == 2 * cfg.episode_len
+    # the rows counter counts states: 2 songs a call
+    assert tracer.counters["tuner.trunk_scores.rows"] == \
+        2 * calls["tuner.trunk_scores"]
 
 
-def test_tune_fires_the_tune_desk_spans():
+def test_tune_fires_the_tune_desk_spans(tmp_path):
     cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
                     notewise_hidden=[3], episode_len=3, rl_iterations=5,
                     rl_batch_size=2).validate()
-    primed = model.init_biaxial_params([3], [3], np.random.default_rng(0))
+    write_primed(tmp_path / "primed.ckpt", cfg)
+    argv = ["tune", "--ckpt", str(tmp_path / "primed.ckpt"), "--iters",
+            str(cfg.rl_iterations), "--seed", "1", "--out",
+            str(tmp_path / "tuned.ckpt")]
 
-    calls = traced_calls(
-        lambda: tuner.tune(primed, cfg, np.random.default_rng(1)))
+    tracer = run_traced(lambda: cli.main(argv))
+    calls = call_counts(tracer)
+    assert_workload_spans_fire(calls, "TuneDesk")
     updates = cfg.rl_iterations - cfg.rl_batch_size + 1
     assert calls["tuner.tune"] == 1
     assert calls["tuner.ReplayBuffer.append"] == cfg.rl_iterations
@@ -105,6 +140,10 @@ def test_tune_fires_the_tune_desk_spans():
     # acting and the reward read score one state per iteration; each
     # update scores the target bootstrap and the online batch
     assert calls["tuner.trunk_scores"] == 2 * cfg.rl_iterations + 2 * updates
+    # the rows counter counts the states scored: one per read, a batch
+    # per update pass
+    assert tracer.counters["tuner.trunk_scores.rows"] == \
+        2 * cfg.rl_iterations + 2 * updates * cfg.rl_batch_size
     # the note axis runs through the model's own pass and backward
     assert calls["model.notewise_pass"] == calls["tuner.trunk_scores"]
     assert calls["nn.stack_backward"] == 2 * updates
@@ -124,20 +163,14 @@ def test_training_fires_the_train_desk_spans(tmp_path):
 
     calls = traced_calls(lambda: cli.main(argv))
     assert calls["model.train"] == 1
-    spans = expected_spans("TrainDesk")
-    assert spans
-    for name in spans:
-        assert calls.get(name, 0) > 0, name
+    assert_workload_spans_fire(calls, "TrainDesk")
 
 
 def test_generate_fires_the_sample_desk_spans(tmp_path):
     cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
                     notewise_hidden=[3]).validate()
-    params = model.init_biaxial_params([3], [3], np.random.default_rng(0))
     ckpt = tmp_path / "primed.ckpt"
-    checkpoint.write_checkpoint(
-        ckpt, model.param_arrays(params),
-        cli.checkpoint_metadata(cli.KIND_BIAXIAL, cfg, 0))
+    write_primed(ckpt, cfg)
     steps = 3
     argv = ["generate", "--ckpt", str(ckpt), "--steps", str(steps),
             "--seed", "2", "--out", str(tmp_path / "sample.mid")]
@@ -152,6 +185,37 @@ def test_generate_fires_the_sample_desk_spans(tmp_path):
     for name in ("midiio.to_midi", "midiio.serialize_midi",
                  "checkpoint.read_checkpoint"):
         assert calls[name] == 1, name
+
+
+def test_sample_desk_round_fires_every_expected_span(tmp_path):
+    """A sample-desk round: generate from the primed checkpoint, then
+    eval it and a tuned one, both sampling."""
+    cfg = RunConfig(note_low=48, n_notes=36, timewise_hidden=[3],
+                    notewise_hidden=[3], episode_len=4).validate()
+    primed = write_primed(tmp_path / "primed.ckpt", cfg)
+    qnet = tuner.MelodyQNetwork.from_primed(primed, 48, 36)
+    checkpoint.write_checkpoint(
+        tmp_path / "tuned.ckpt", qnet.params(),
+        cli.checkpoint_metadata(cli.KIND_QNET, cfg, 0))
+    songs = 2
+
+    def run():
+        assert cli.main(["generate", "--ckpt", str(tmp_path / "primed.ckpt"),
+                         "--steps", "2", "--seed", "1", "--out",
+                         str(tmp_path / "sample.mid")]) == 0
+        for which in ("primed", "tuned"):
+            assert cli.main(["eval", "--ckpt", str(tmp_path / f"{which}.ckpt"),
+                             "--songs", str(songs), "--sampling",
+                             "boltzmann", "--seed", "1", "--out",
+                             str(tmp_path / f"{which}_eval.csv")]) == 0
+
+    tracer = run_traced(run)
+    calls = call_counts(tracer)
+    assert_workload_spans_fire(calls, "SampleDesk")
+    assert calls["tuner.rollout"] == calls["tuner.sample_primed_melody"] == 1
+    # both evals score every song at every step
+    assert tracer.counters["tuner.trunk_scores.rows"] == \
+        2 * songs * cfg.episode_len
 
 
 @pytest.mark.parametrize("hidden", [[3], [4, 3]])

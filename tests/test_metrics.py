@@ -257,3 +257,19 @@ class TestReportValidation:
             replace(good, mean_autocorr_lag2=1.5).validate()
         with pytest.raises(ValueError, match="song_count"):
             replace(good, song_count=0).validate()
+
+    @pytest.mark.parametrize("row, raw, message", [
+        ("mean_autocorr_lag1", "nan", "mean_autocorr_lag1 is not finite"),
+        ("leaps_resolved_pct", "100.5", "leaps_resolved_pct = 100.5 outside"),
+        ("notes_not_in_key_pct", "-1.0",
+         "notes_not_in_key_pct = -1.0 outside"),
+        ("song_count", "0", "song_count must be positive"),
+    ])
+    def test_parsed_report_is_validated(self, row, raw, message):
+        """A report read back from CSV is held to what evaluate()
+        promises, and the refusal names the row."""
+        lines = report_to_csv(evaluate([[14, 16, 18]], CFG)).splitlines()
+        text = "\n".join(f"{row},{raw}" if line.startswith(row + ",")
+                         else line for line in lines) + "\n"
+        with pytest.raises(ValueError, match=message):
+            report_from_csv(text)

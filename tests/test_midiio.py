@@ -576,6 +576,17 @@ class TestRoundTrip:
                              note_low=note_low, n_notes=n_notes)
         assert rt == m
 
+    def test_roll_past_max_steps_is_refused(self):
+        """A roll quantize could not read back is refused by the writer;
+        one of MAX_STEPS steps, its note at the last step, reads back."""
+        data = np.zeros((1, midiio.MAX_STEPS + 1, 2), dtype=np.uint8)
+        data[0, -1] = 1
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            midiio.to_midi(NoteStateMatrix(data, 60))
+        m = NoteStateMatrix(data[:, 1:], 60)
+        song = midiio.parse_midi(midiio.serialize_midi(midiio.to_midi(m)))
+        assert midiio.quantize(song, note_low=60, n_notes=1) == m
+
     def test_serialized_bytes_round_trip(self):
         m = helpers.random_matrix(np.random.default_rng(5))
         data = midiio.serialize_midi(midiio.to_midi(m))

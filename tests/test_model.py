@@ -203,6 +203,59 @@ class TestLoss:
         assert np.all(d[0, 0, :, 1] == 0)      # note 0 never plays
 
 
+def log_sigmoid(x):
+    """log(sigmoid(x)) in the form the tuner once scored actions with."""
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -tail, x - tail)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestCellLogLikelihood:
+    """model.cell_log_likelihood, the one likelihood that training's loss
+    and the tuner's action scores sum."""
+
+    MAGNITUDES = (0.0, 1e-300, 36.0, 745.0, 1e6)
+
+    def test_pair_sums_match_the_log_sigmoid_form_bit_for_bit(self):
+        x = np.array([s * v for v in self.MAGNITUDES for s in (1.0, -1.0)])
+        # every (play, articulate) logit pair over the grid, zero signs too
+        logits = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        p, a = logits[..., 0], logits[..., 1]
+        old = {(1, 1): log_sigmoid(p) + log_sigmoid(a),
+               (1, 0): log_sigmoid(p) + log_sigmoid(-a),
+               (0, 0): log_sigmoid(-p)}
+        for pair, want in old.items():
+            ll, _ = model.cell_log_likelihood(logits, np.array(pair))
+            np.testing.assert_array_equal(bits(ll[..., 0] + ll[..., 1]),
+                                          bits(want), err_msg=str(pair))
+            cell = log_sigmoid(p if pair[0] else -p)
+            np.testing.assert_array_equal(bits(ll[..., 0]), bits(cell))
+
+    def test_articulation_counts_only_under_a_played_target(self):
+        logits = np.random.default_rng(14).normal(size=(5, 2))
+        ll, dll = model.cell_log_likelihood(
+            logits, np.array([[0, 0], [0, 1], [1, 0]])[:, None])
+        assert ll.shape == dll.shape == (3, 5, 2)
+        assert np.all(ll[:2, :, 1] == 0) and np.all(dll[:2, :, 1] == 0)
+        assert np.all(ll[2] < 0)
+        np.testing.assert_array_equal(ll[0], ll[1])
+
+    def test_derivative_matches_central_differences(self):
+        rng = np.random.default_rng(15)
+        logits = rng.normal(scale=4.0, size=(6, 2))
+        h = 1e-6
+        for pair in ([1, 1], [1, 0], [0, 0]):
+            targets = np.array(pair)
+            _, dll = model.cell_log_likelihood(logits, targets)
+            up, _ = model.cell_log_likelihood(logits + h, targets)
+            down, _ = model.cell_log_likelihood(logits - h, targets)
+            np.testing.assert_allclose(dll, (up - down) / (2 * h),
+                                       rtol=1e-6, atol=1e-9)
+
+
 class TestGradients:
 
     def test_full_model_matches_finite_differences(self):

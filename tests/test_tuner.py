@@ -225,7 +225,7 @@ class TestSoundingRule:
         sounding = np.full(8, SILENT)
         for step in range(12):
             _, cells, cache = tuner.trunk_scores(params, 48, snap)
-            held, m = cache[3], cache[4]
+            held, m = cache[4], cache[5]
             np.testing.assert_array_equal(held, sounding != SILENT)
             np.testing.assert_array_equal(m[held], sounding[held])
             actions = random_actions(rng, len(snap))
