@@ -3,26 +3,24 @@
 Layout, all little-endian:
 
   magic     4 bytes, b"B2B1"
-  version   uint32 (2; version 1 files, which end after the sections,
-            still read)
+  version   uint32, 2; any other version is refused
   metadata  uint32 byte length, then canonical JSON (sorted keys,
             compact separators, ASCII)
   sections  uint32 count, then per section, sorted by name:
               uint16 name length + UTF-8 name
               uint8 ndim + one uint32 per extent
               row-major float64 values
-  crc       uint32 zlib.crc32 of every byte before it (version 2)
+  crc       uint32 zlib.crc32 of every byte before it
 
 Every value is float64, so a section's payload is exactly
 8 * product(shape) bytes. Reading is bitwise faithful, and a changed
-byte anywhere in a version 2 file fails its checksum, if nothing else
-catches it first. Rewriting what was read from a version 2 file
-reproduces it byte for byte: reading refuses section names that are
-empty, not valid UTF-8 or not strictly increasing, as a repeated name
-would replace the first array, and metadata that is not canonical JSON
-(spaces, unsorted keys). With sorted sections and canonical JSON the
-bytes do not depend on dict insertion order either. A version 1 file
-rewrites as version 2. write_atomic, which every artifact the CLI
+byte anywhere fails the checksum, if nothing else catches it first.
+Rewriting what was read reproduces the file byte for byte: reading
+refuses section names that are empty, not valid UTF-8 or not strictly
+increasing, as a repeated name would replace the first array, and
+metadata that is not canonical JSON (spaces, unsorted keys). With
+sorted sections and canonical JSON the bytes do not depend on dict
+insertion order either. write_atomic, which every artifact the CLI
 writes goes through, replaces a file only once its new bytes are
 complete.
 """
@@ -75,8 +73,7 @@ def checkpoint_bytes(arrays: dict, metadata: dict | None = None) -> bytes:
 
 
 def parse_checkpoint(data: bytes):
-    """Inverse of checkpoint_bytes; returns (arrays, metadata). Reads
-    version 1 files too, which carry no checksum."""
+    """Inverse of checkpoint_bytes; returns (arrays, metadata)."""
     view = memoryview(data)
     offset = 0
 
@@ -92,10 +89,9 @@ def parse_checkpoint(data: bytes):
     if bytes(take(4, "magic")) != MAGIC:
         raise CheckpointError(f"bad magic: expected {MAGIC!r}")
     version, = struct.unpack("<I", take(4, "version"))
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if version == VERSION:
-        view = view[:-4]    # the sections end where the checksum begins
+    view = view[:-4]    # the sections end where the checksum begins
     meta_len, = struct.unpack("<I", take(4, "metadata length"))
     meta_blob = bytes(take(meta_len, "metadata"))
     try:
@@ -131,10 +127,9 @@ def parse_checkpoint(data: bytes):
     if offset != len(view):
         raise CheckpointError(f"{len(view) - offset} trailing bytes after "
                               "the last section")
-    if version == VERSION:
-        stored, = struct.unpack("<I", data[offset:])
-        if zlib.crc32(view) != stored:
-            raise CheckpointError("checksum mismatch: the file is corrupt")
+    stored, = struct.unpack("<I", data[offset:])
+    if zlib.crc32(view) != stored:
+        raise CheckpointError("checksum mismatch: the file is corrupt")
     return arrays, metadata
 
 

@@ -26,8 +26,6 @@ from .features import BEAT_PERIOD
 
 KIND_BIAXIAL = "biaxial"
 KIND_QNET = "qnet"
-# fields older config snapshots hold and RunConfig no longer has
-RETIRED_CONFIG_KEYS = ("teacher_forcing", "steps_per_measure")
 
 
 def _csv_cell(value):
@@ -89,18 +87,19 @@ def checkpoint_metadata(kind, cfg, iterations):
 
 
 def read_model_checkpoint(args, kinds, **flag_overrides):
-    """Read the checkpoint at args.ckpt, refusing a model kind outside
-    kinds, and resolve the run's config over its stored snapshot.
+    """Read the checkpoint at args.ckpt, whose metadata is what
+    checkpoint_metadata writes, refusing a model kind outside kinds or
+    a config that is not an object, and resolve the run's config over
+    that snapshot, whose keys must all be RunConfig fields.
     Returns (kind, arrays, cfg)."""
     arrays, meta = checkpoint.read_checkpoint(args.ckpt)
-    kind = meta.get("kind", KIND_BIAXIAL)
+    kind = meta.get("kind")
     if kind not in kinds:
         raise ValueError(f"checkpoint {args.ckpt} holds a {kind!r} model; "
                          f"this command reads {' or '.join(kinds)}")
     base = meta.get("config")
-    base = dict(base) if isinstance(base, dict) else {}
-    for key in RETIRED_CONFIG_KEYS:
-        base.pop(key, None)
+    if not isinstance(base, dict):
+        raise ValueError(f"checkpoint {args.ckpt} has no config object")
     return kind, arrays, resolve_config(args, base, **flag_overrides)
 
 

@@ -182,10 +182,10 @@ def report_from_csv(text: str) -> MetricReport:
         name, _, raw = line.partition(",")
         if name in values:
             raise ValueError(f"report repeats metric {name!r}")
-        if name == "song_count":
-            values[name] = int(raw)
-        else:
-            values[name] = float(raw)
+        try:
+            values[name] = int(raw) if name == "song_count" else float(raw)
+        except ValueError as exc:
+            raise ValueError(f"report row {name}: {exc}") from exc
     known = {f.name for f in fields(MetricReport)}
     if set(values) != known:
         missing = sorted(known - set(values))

@@ -97,11 +97,9 @@ def param_arrays(params: BiaxialParams) -> dict:
 
 def params_from_arrays(arrays: dict) -> BiaxialParams:
     """Rebuild parameters from named arrays (checkpoint restore), copied
-    to float64. A cell is its packed w and b, or in files from before
-    packing its eight gate sections w_i .. b_c: each w_* with w_i's shape,
-    each b_* with b_i's, stacked in nn.GATES order. Both then validate.
-    A stack's layers are <stack>/0/ .. <stack>/L-1/, and a section under
-    a stack that no layer reads is refused."""
+    to float64: the inverse of param_arrays. A stack's layers are
+    <stack>/0/ .. <stack>/L-1/, each cell its packed w and b, and a
+    section under a stack that no layer reads is refused."""
     read = set()
 
     def section(key):
@@ -110,25 +108,12 @@ def params_from_arrays(arrays: dict) -> BiaxialParams:
         read.add(key)
         return np.array(arrays[key], dtype=np.float64)
 
-    def build_cell(prefix):
-        if prefix + "w" in arrays or prefix + "b" in arrays:
-            w, b = section(prefix + "w"), section(prefix + "b")
-        else:   # the eight gate sections of a file from before packing
-            gates = {f"{k}_{g}": section(f"{prefix}{k}_{g}")
-                     for k in "wb" for g in nn.GATES}
-            for name, arr in gates.items():
-                want = gates[name[0] + "_i"].shape
-                if arr.shape != want:
-                    raise ValueError(f"{prefix}{name} has shape {arr.shape}"
-                                     f", expected {want}")
-            w, b = (np.concatenate([gates[f"{k}_{g}"] for g in nn.GATES])
-                    for k in "wb")
-        return nn.LstmCellParams(w, b)
-
     def build_stack(name):
         layers = []
         while any(key.startswith(f"{name}/{len(layers)}/") for key in arrays):
-            layers.append(build_cell(f"{name}/{len(layers)}/"))
+            prefix = f"{name}/{len(layers)}/"
+            layers.append(nn.LstmCellParams(section(prefix + "w"),
+                                            section(prefix + "b")))
         return layers
 
     params = BiaxialParams(build_stack("timewise"), build_stack("notewise"),

@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GATES = ("i", "f", "o", "c")
-
 
 def sigmoid(x, out=None):
     """Logistic function of an array in its tanh form, stable for any

@@ -657,21 +657,3 @@ def workspace_bytes(ws, prefix=""):
     for name, child in ws._scopes.items():
         sizes.update(workspace_bytes(child, f"{prefix}{name}/"))
     return sizes
-
-
-def per_gate_arrays(arrays):
-    """Named parameter arrays as files written before cells were stored
-    packed hold them: each cell's w and b, named <stack>/<i>/w or /b
-    with or without a trunk/ prefix, sliced into its gate row-blocks
-    w_i .. w_c or b_i .. b_c in nn.GATES order. Other arrays pass as
-    they are."""
-    out = {}
-    for name, arr in arrays.items():
-        parts = name.split("/")
-        if len(parts) < 3 or parts[-3] not in ("timewise", "notewise"):
-            out[name] = arr
-            continue
-        hidden = len(arr) // 4
-        for k, gate in enumerate(nn.GATES):
-            out[f"{name}_{gate}"] = arr[k * hidden:(k + 1) * hidden]
-    return out

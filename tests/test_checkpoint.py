@@ -1,6 +1,7 @@
 """Tests for the binary checkpoint format."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -17,16 +18,18 @@ def sample_arrays(rng):
 
 
 def raw_checkpoint(names, metadata=b"{}"):
-    """Version 1 checkpoint bytes, which carry no checksum, with the raw
-    metadata block given (empty by default) and one zero (1,)-shaped
-    section per raw name, written in the order given."""
-    parts = [checkpoint.MAGIC, (1).to_bytes(4, "little"),
+    """Checkpoint bytes with the raw metadata block given (empty by
+    default) and one zero (1,)-shaped section per raw name, written in
+    the order given, then a valid checksum, so a reader refuses them
+    for what they hold and not for the checksum."""
+    parts = [checkpoint.MAGIC, checkpoint.VERSION.to_bytes(4, "little"),
              len(metadata).to_bytes(4, "little"), metadata,
              len(names).to_bytes(4, "little")]
     for name in names:
         parts += [len(name).to_bytes(2, "little"), name, bytes([1]),
                   (1).to_bytes(4, "little"), bytes(8)]
-    return b"".join(parts)
+    body = b"".join(parts)
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 class TestRoundTrip:
@@ -168,16 +171,16 @@ class TestValidation:
         # json accepts each block, but rewriting what it parses to gives
         # other bytes: {"a":1} one byte shorter, {"a":2} alone
         assert isinstance(json.loads(metadata), dict)
-        # compared past the version, and without the writer's checksum
+        # compared past the version and without the checksums
         assert checkpoint.checkpoint_bytes(
             {"w": np.zeros(1)}, json.loads(metadata))[8:-4] != raw_checkpoint(
-                [b"w"], metadata)[8:]
+                [b"w"], metadata)[8:-4]
         with pytest.raises(CheckpointError, match="not canonical"):
             checkpoint.parse_checkpoint(raw_checkpoint([b"w"], metadata))
 
     def test_overflowing_element_count_is_reported(self):
         # 2**64 - 2**33 + 1 values wrap a 64-bit element count negative
-        data = (checkpoint.MAGIC + (1).to_bytes(4, "little")
+        data = (checkpoint.MAGIC + checkpoint.VERSION.to_bytes(4, "little")
                 + (2).to_bytes(4, "little") + b"{}"
                 + (1).to_bytes(4, "little")
                 + (1).to_bytes(2, "little") + b"w" + bytes([2])
@@ -212,15 +215,16 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="checksum"):
             checkpoint.parse_checkpoint(bytes(data))
 
-    def test_version_1_files_still_read(self):
-        arrays, meta = {"b": np.arange(3.0), "w": np.ones((2, 2))}, {"k": 1}
-        v2 = checkpoint.checkpoint_bytes(arrays, meta)
+    def test_version_1_files_are_refused(self):
+        """Version 1 ended after the sections, with no checksum; it is
+        refused by its number, and so is a version 1 header on a file
+        that carries a valid checksum."""
+        v2 = checkpoint.checkpoint_bytes({"w": np.ones((2, 2))}, {"k": 1})
         v1 = v2[:4] + (1).to_bytes(4, "little") + v2[8:-4]
-        got, got_meta = checkpoint.parse_checkpoint(v1)
-        assert got_meta == meta
-        for name, arr in arrays.items():
-            np.testing.assert_array_equal(got[name], arr)
-        assert checkpoint.checkpoint_bytes(got, got_meta) == v2
+        for data in (v1, v1 + zlib.crc32(v1).to_bytes(4, "little")):
+            with pytest.raises(CheckpointError,
+                               match="unsupported checkpoint version 1$"):
+                checkpoint.parse_checkpoint(data)
 
     def test_error_type_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)

@@ -465,40 +465,45 @@ class TestParserPlumbing:
         assert not out.exists()
 
 
-class TestPerGateCheckpoint:
-    """Files written before cells were stored packed hold each cell as
-    eight gate sections w_i .. b_c. Every command still reads them, and
-    writes what it writes from the packed file of the same weights."""
+def errors_of_every_reader(ckpt, tmp_path, capsys):
+    """Run generate, tune and eval on ckpt, each writing under a new
+    directory in tmp_path; assert each exits 1 and none leaves a file
+    there, and return their stderr."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    errors = []
+    for command, out in (("generate", "s.mid"), ("tune", "t.ckpt"),
+                         ("eval", "e.csv")):
+        rc = cli.main([command, "--ckpt", str(ckpt),
+                       "--out", str(out_dir / out)])
+        assert rc == 1
+        errors.append(capsys.readouterr().err)
+    assert list(out_dir.iterdir()) == []
+    return errors
 
-    def test_runs_generate_tune_and_eval_like_the_packed_file(
-            self, trained_ckpt, tuned_ckpt, tmp_path):
-        outputs = {}
-        for layout in ("packed", "per_gate"):
-            out = tmp_path / layout
-            out.mkdir()
-            primed, tuned = trained_ckpt, tuned_ckpt
-            if layout == "per_gate":
-                primed, tuned = tmp_path / "primed.ckpt", tmp_path / "q.ckpt"
-                for src, dst in ((trained_ckpt, primed), (tuned_ckpt, tuned)):
-                    arrays, meta = checkpoint.read_checkpoint(src)
-                    legacy = helpers.per_gate_arrays(arrays)
-                    assert len(legacy) == len(arrays) + 2 * 6
-                    checkpoint.write_checkpoint(dst, legacy, meta)
-            for argv in (
-                    ["generate", "--ckpt", primed, "--out", out / "s.mid"],
-                    ["tune", "--ckpt", primed, "--out", out / "t.ckpt"],
-                    ["eval", "--ckpt", primed, "--out", out / "p.csv"],
-                    ["eval", "--ckpt", tuned, "--out", out / "q.csv"]):
-                assert cli.main([str(arg) for arg in argv]) == 0
-            outputs[layout] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert sorted(outputs["packed"]) == [
-            "p.csv", "p.csv.txt", "q.csv", "q.csv.txt", "s.mid", "t.ckpt",
-            "t.ckpt.trace.csv"]
-        assert outputs["per_gate"] == outputs["packed"]
+
+class TestCheckpointMetadata:
+    """checkpoint_metadata always writes a kind and a config object; a
+    file without them is refused by name, not read as a biaxial model
+    with the default note range."""
+
+    @pytest.mark.parametrize("meta, message", [
+        pytest.param({}, "holds a None model", id="no_kind"),
+        pytest.param({"kind": "biaxial"}, "has no config object",
+                     id="no_config"),
+        pytest.param({"kind": "biaxial", "config": [1]},
+                     "has no config object", id="config_not_an_object")])
+    def test_metadata_the_writer_never_writes_is_refused(
+            self, trained_ckpt, tmp_path, capsys, meta, message):
+        odd = tmp_path / "odd.ckpt"
+        checkpoint.write_checkpoint(
+            odd, checkpoint.read_checkpoint(trained_ckpt)[0], meta)
+        for err in errors_of_every_reader(odd, tmp_path, capsys):
+            assert message in err
 
 
 # (key, value) pairs older checkpoints hold, every retired field among
-# them; the teacher_forcing cases keep the ids they had as the only ones
+# them
 RETIRED = [pytest.param("teacher_forcing", True, id="True"),
            pytest.param("teacher_forcing", False, id="False"),
            pytest.param("steps_per_measure", 16, id="steps_per_measure")]
@@ -507,36 +512,19 @@ RETIRED = [pytest.param("teacher_forcing", True, id="True"),
 class TestRetiredConfigKey:
     """Checkpoints written while training still had a sampling mode
     record "teacher_forcing" in their config snapshot, and those written
-    while the grid was a setting record "steps_per_measure". The commands
-    that read a checkpoint drop both; a config file naming one is
-    refused."""
-
-    def test_every_retired_key_is_covered(self):
-        assert sorted({p.values[0] for p in RETIRED}) \
-            == sorted(cli.RETIRED_CONFIG_KEYS)
+    while the grid was a setting record "steps_per_measure". RunConfig
+    has neither field, so a snapshot or a config file naming one is
+    refused by name."""
 
     @pytest.mark.parametrize("key, value", RETIRED)
-    def test_old_checkpoint_runs_generate_tune_and_eval(
-            self, workdir, trained_ckpt, tmp_path, key, value):
+    def test_old_checkpoint_is_refused_by_every_reader(
+            self, trained_ckpt, tmp_path, capsys, key, value):
         arrays, meta = checkpoint.read_checkpoint(trained_ckpt)
-        assert key not in meta["config"]
         old = tmp_path / "old.ckpt"
         checkpoint.write_checkpoint(old, arrays, dict(
             meta, config=dict(meta["config"], **{key: value})))
-        for ckpt, name in ((trained_ckpt, "new.mid"), (old, "old.mid")):
-            rc = cli.main(["generate", "--ckpt", str(ckpt), "--seed", "4",
-                           "--out", str(tmp_path / name)])
-            assert rc == 0
-        assert ((tmp_path / "old.mid").read_bytes()
-                == (tmp_path / "new.mid").read_bytes())
-        tuned = tmp_path / "tuned.ckpt"
-        rc = cli.main(["tune", "--ckpt", str(old), "--out", str(tuned)])
-        assert rc == 0
-        assert key not in checkpoint.read_checkpoint(tuned)[1]["config"]
-        for ckpt in (old, tuned):
-            rc = cli.main(["eval", "--ckpt", str(ckpt),
-                           "--out", str(tmp_path / f"{ckpt.stem}.csv")])
-            assert rc == 0
+        for err in errors_of_every_reader(old, tmp_path, capsys):
+            assert f"unknown configuration key '{key}'" in err
 
     def test_config_file_naming_it_is_refused(self, trained_ckpt, tmp_path,
                                               capsys):

@@ -264,6 +264,9 @@ class TestReportValidation:
         ("notes_not_in_key_pct", "-1.0",
          "notes_not_in_key_pct = -1.0 outside"),
         ("song_count", "0", "song_count must be positive"),
+        ("song_count", "1.5", "report row song_count: invalid literal"),
+        ("notes_repeated_pct", "abc",
+         "report row notes_repeated_pct: could not convert"),
     ])
     def test_parsed_report_is_validated(self, row, raw, message):
         """A report read back from CSV is held to what evaluate()

@@ -9,8 +9,7 @@ from rolltune.config import RunConfig
 from rolltune.features import expand_batch
 from rolltune.midiio import NoteStateMatrix
 
-from helpers import (per_gate_arrays, random_matrix,
-                     reference_loss_gradients, workspace_bytes)
+from helpers import random_matrix, reference_loss_gradients, workspace_bytes
 
 
 def small_params(rng, timewise=(3,), notewise=(4,)):
@@ -534,17 +533,22 @@ class TestParamArrays:
         with pytest.raises(ValueError, match="missing timewise/1/b"):
             model.params_from_arrays(arrays)
 
-    def test_per_gate_sections_pack_in_gate_order(self):
+    def test_per_gate_sections_are_refused(self):
+        """Files from before cells were stored packed hold each cell as
+        eight gate sections w_i .. b_c; the first packed section they
+        lack is named."""
         rng = np.random.default_rng(24)
-        params = small_params(rng, timewise=(3, 5), notewise=(4, 3))
-        legacy = per_gate_arrays(model.param_arrays(params))
-        assert len(legacy) == 4 * 8 + 2
-        rebuilt = model.params_from_arrays(legacy)
-        for name, arr in model.param_arrays(params).items():
-            np.testing.assert_array_equal(
-                model.param_arrays(rebuilt)[name], arr)
+        per_gate = {}
+        for name, arr in model.param_arrays(small_params(rng)).items():
+            if name.startswith("proj/"):
+                per_gate[name] = arr
+                continue
+            for gate, block in zip("ifoc", np.split(arr, 4)):
+                per_gate[f"{name}_{gate}"] = block
+        with pytest.raises(ValueError,
+                           match="checkpoint is missing timewise/0/w$"):
+            model.params_from_arrays(per_gate)
 
-    @pytest.mark.parametrize("layout", [dict, per_gate_arrays])
     @pytest.mark.parametrize("edit, culprit", [
         pytest.param(rename_layer("timewise/1/", "timewise/5/"),
                      "timewise/5/", id="gap"),
@@ -552,37 +556,14 @@ class TestParamArrays:
                      "timewise/x/", id="non_integer"),
         pytest.param(add_section("timewise/0/extra", "timewise/0/b"),
                      "timewise/0/extra", id="stray_section")])
-    def test_layers_are_numbered_from_zero_without_gaps(self, layout, edit,
-                                                         culprit):
+    def test_layers_are_numbered_from_zero_without_gaps(self, edit, culprit):
         """A stack's layers are <stack>/0/, <stack>/1/, ...: a gap, an
         index that is not a number and a section no layer reads are each
         refused by name."""
         rng = np.random.default_rng(26)
         arrays = model.param_arrays(small_params(rng, timewise=(3, 3)))
         with pytest.raises(ValueError, match=f"section {culprit}"):
-            model.params_from_arrays(layout(edit(arrays)))
-
-    def test_per_gate_sections_are_shape_checked_against_w_i(self):
-        rng = np.random.default_rng(25)
-        gates = per_gate_arrays(model.param_arrays(small_params(rng)))
-        names = [name for name in gates if name.startswith("notewise/0/")]
-        assert len(names) == 8
-        for name in names:
-            # w_i and b_i set the shapes, so a bad one is reported at the
-            # first gate that differs from it
-            culprit = name[:-1] + ("f" if name[-1] == "i" else name[-1])
-            for bad in (gates[name][:-1], gates[name][..., None]):
-                with pytest.raises(ValueError, match=f"{culprit} has shape"):
-                    model.params_from_arrays(dict(gates, **{name: bad}))
-        # rows taken from one gate and given to another still sum to 4H
-        w_f, w_o = gates["timewise/0/w_f"], gates["timewise/0/w_o"]
-        cancel = dict(gates, **{"timewise/0/w_f": w_f[:-1],
-                                "timewise/0/w_o": np.vstack([w_o, w_f[-1:]])})
-        with pytest.raises(ValueError, match="timewise/0/w_f has shape"):
-            model.params_from_arrays(cancel)
-        del gates["notewise/0/b_o"]
-        with pytest.raises(ValueError, match="missing notewise/0/b_o"):
-            model.params_from_arrays(gates)
+            model.params_from_arrays(edit(arrays))
 
     def test_validate_rejects_bad_note_scan_input_width(self):
         rng = np.random.default_rng(19)
